@@ -150,8 +150,8 @@ def stationary_mean(dist: StationaryDistribution) -> float:
         r = p_up / (1.0 - dist.params.q ** (K + 1))
         mean += tb * K + math.exp(dist.log_probs[K]) * r / (1.0 - r) ** 2
     m, d = dist.params.m, dist.params.d
-    if m >= 1e3:
-        assert mean <= 1.01 * math.ceil(math.log(3) * m / d) + 11
+    if m >= 1e3 and mean > 1.01 * math.ceil(math.log(3) * m / d) + 11:
+        raise NumericError(f"stationary mean {mean} exceeds its cap at m={m}, d={d}")
     return mean
 
 

@@ -31,6 +31,7 @@ from .core import (
     PolicyKind,
     RangeError,
     Uniform,
+    departure_at_least,
     departure_cdf,
     departure_to_dict,
     mix_seed,
@@ -83,6 +84,8 @@ class SweepSpec:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
         if not self.d_values:
             raise ConfigError("d_values must be nonempty")
+        if len(set(self.d_values)) != len(self.d_values):
+            raise ConfigError(f"d_values must be distinct, got {self.d_values}")
         if any(d > self.m for d in self.d_values):
             raise ConfigError("every d must satisfy d <= m")
 
@@ -230,9 +233,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     delta = departure_cdf(departure, eps_lb)
     gdy_lower = analytics.gdy_loss_lower(args.d, eps_lb, delta)
     pat_upper = analytics.pat_loss_upper(args.d) if departure == Constant(1.0) else None
-    c_min = 1.0 if departure == Constant(1.0) else eps
-    mass = 1.0 - departure_cdf(departure, c_min) + _point_mass(departure, c_min)
-    wait_lower, wait_upper = analytics.waiting_bounds(args.m, args.T, args.d, c_min, mass)
+    mass = departure_at_least(departure, eps)
+    wait_lower, wait_upper = analytics.waiting_bounds(args.m, args.T, args.d, eps, mass)
 
     report = {
         "m": args.m,
@@ -284,11 +286,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     json.dump(report, sys.stdout, indent=2)
     print()
     return 0
-
-
-def _point_mass(spec: DepartureSpec, x: float) -> float:
-    lower = departure_cdf(spec, max(x - 1e-12, 0.0)) if x > 0 else 0.0
-    return departure_cdf(spec, x) - lower
 
 
 # --------------------------------------------------------------------------

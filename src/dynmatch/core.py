@@ -200,6 +200,28 @@ def departure_cdf(spec: DepartureSpec, x: float) -> float:
     raise ConfigError(f"unknown departure spec {spec!r}")
 
 
+def departure_at_least(spec: DepartureSpec, x: float) -> float:
+    """Mass of [x, inf] under the departure distribution, exact per variant
+    (a point mass at x included; NeverPerish puts all its mass at +inf)."""
+    if x < 0:
+        raise DomainError(f"tail argument must be >= 0, got {x}")
+    if type(spec) is Constant:
+        return 1.0 if spec.c >= x else 0.0
+    if type(spec) is Exponential:
+        return math.exp(-spec.rate * x)
+    if type(spec) is Uniform:
+        if x <= spec.a:
+            return 1.0
+        if x >= spec.b:
+            return 0.0
+        return (spec.b - x) / (spec.b - spec.a)
+    if type(spec) is NeverPerish:
+        return 1.0
+    if type(spec) is Mixture:
+        return math.fsum(w * departure_at_least(comp, x) for w, comp in spec.components)
+    raise ConfigError(f"unknown departure spec {spec!r}")
+
+
 def support_min(spec: DepartureSpec) -> float:
     """Left endpoint of the support (inf for NeverPerish)."""
     if type(spec) is Constant:
@@ -324,7 +346,8 @@ class Agent:
     outcome_time: float | None = None
 
     def resolve(self, outcome: int, time: float, partner_id: int | None = None) -> None:
-        assert self.outcome == AgentOutcome.UNRESOLVED
+        if self.outcome != AgentOutcome.UNRESOLVED:
+            raise NumericError(f"agent {self.id} resolved twice")
         self.outcome = outcome
         self.outcome_time = time
         self.partner_id = partner_id
@@ -336,31 +359,20 @@ class PairCompatibilityOracle:
     Draws are taken lazily at the first (and only) time a pair is queried:
     at the later agent's arrival under greedy matching, at the earlier
     criticality under patient matching.  Each pair is queried at most once
-    per run, so lazy drawing is distributionally exact; enable pair
-    tracking in tests to assert the at-most-once guarantee.
+    per run, so lazy drawing is distributionally exact.
     """
 
-    __slots__ = ("rng", "p", "_seen")
+    __slots__ = ("rng", "p")
 
     def __init__(self, rng: np.random.Generator, p: float) -> None:
         if not 0 < p <= 1:
             raise ConfigError(f"compatibility probability must be in (0, 1], got {p}")
         self.rng = rng
         self.p = p
-        self._seen: set[tuple[int, int]] | None = None
-
-    def enable_pair_tracking(self) -> None:
-        self._seen = set()
 
     def query_block(self, agent_id: int, member_ids: list[int]) -> np.ndarray:
         """Query one agent against a block of pool members (one draw each)."""
-        bits = self.rng.random(len(member_ids)) < self.p
-        if self._seen is not None:
-            for mid in member_ids:
-                pair = (agent_id, mid) if agent_id < mid else (mid, agent_id)
-                assert pair not in self._seen, f"pair {pair} queried twice"
-                self._seen.add(pair)
-        return bits
+        return self.rng.random(len(member_ids)) < self.p
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Exact event-driven simulation of one market run.
 
-Events are processed in (time, creation-sequence) order.  The sequence
-number breaks floating-point time ties deterministically, realizing the
-almost-sure uniqueness of event times in the continuous model; an agent's
-arrival event is always created before her criticality event.  Processing
-stops at the first event strictly after the horizon T: pending arrivals
-are discarded and still-pooled agents are counted at the horizon.
+Exactly one arrival is pending at any time, held as a plain float; only
+criticality events sit in a heap, as ``(critical_time, agent_id)`` tuples.
+The pending arrival goes first iff ``(next_arrival, len(agents)) <=
+heap[0]``: on an exact float time tie an arrival comes after the
+criticality of every older agent but before the criticality of the agent
+who arrived last.  This deterministic order realizes the almost-sure
+uniqueness of event times in the continuous model.  Processing stops at
+the first event strictly after the horizon T: the pending arrival is
+discarded and still-pooled agents are counted at the horizon.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,14 +36,6 @@ from .core import (
     sample_sojourn,
 )
 
-ARRIVAL = 0
-CRITICAL = 1
-
-# Set by tests: record per-pair queries and assert the at-most-once
-# guarantee.  Costs memory proportional to the query count; leave off for
-# production-size runs.
-PAIR_TRACKING = False
-
 # One CSV row per run; fixed schema, versioned in the file header.
 RUN_CSV_COLUMNS = (
     "seed",
@@ -57,15 +51,6 @@ RUN_CSV_COLUMNS = (
     "perished",
     "pool_at_T",
 )
-
-
-class SimEvent(NamedTuple):
-    """Heap entry; NamedTuple ordering gives the (time, seq) total order."""
-
-    time: float
-    seq: int
-    kind: int
-    agent_id: int
 
 
 class _Kahan:
@@ -86,7 +71,7 @@ class _Kahan:
 
 @dataclass
 class RunStats:
-    """Counters and aggregates of one run (or a merged batch of runs)."""
+    """Counters and aggregates of one run."""
 
     seed: int
     m: float
@@ -113,44 +98,6 @@ class RunStats:
 
     def csv_row(self) -> list:
         return [getattr(self, col) for col in RUN_CSV_COLUMNS]
-
-    @classmethod
-    def merged(cls, runs: list["RunStats"]) -> "RunStats":
-        """Associative merge of replications sharing (m, d, T, policy)."""
-        if not runs:
-            raise FormatError("cannot merge an empty run list")
-        head = runs[0]
-        for r in runs[1:]:
-            if (r.m, r.d, r.T, r.policy, r.departure_kind) != (
-                head.m,
-                head.d,
-                head.T,
-                head.policy,
-                head.departure_kind,
-            ):
-                raise FormatError("merged runs must share market parameters")
-        arrivals = sum(r.arrivals for r in runs)
-        matched = sum(r.matched for r in runs)
-        perished = sum(r.perished for r in runs)
-        pool = sum(r.pool_at_T for r in runs)
-        n = sum(r.n_runs for r in runs)
-        wait = math.fsum(r.total_wait for r in runs)
-        return cls(
-            seed=head.seed,
-            m=head.m,
-            d=head.d,
-            T=head.T,
-            policy=head.policy,
-            departure_kind=head.departure_kind,
-            arrivals=arrivals,
-            matched=matched,
-            perished=perished,
-            pool_at_T=pool,
-            loss=perished / (head.m * head.T * n),
-            total_wait=wait,
-            avg_wait=wait / arrivals if arrivals else 0.0,
-            n_runs=n,
-        )
 
 
 def pool_integral(trajectory: list[tuple[float, int]], T: float) -> float:
@@ -207,8 +154,6 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     rng_sojourn = streams.sojourn
     rng_tb = streams.tiebreak
     oracle = PairCompatibilityOracle(streams.compatibility, config.p)
-    if PAIR_TRACKING:
-        oracle.enable_pair_tracking()
 
     m, T = config.m, config.T
     horizon = burn_in + T
@@ -218,9 +163,8 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     by_sojourn = policy is PolicyKind.GREEDY_SOJOURN
     departure = config.departure
 
-    heap: list[SimEvent] = []
-    seq = 0
-    heappush(heap, SimEvent(sample_interarrival(m, rng_arrival), seq, ARRIVAL, -1))
+    next_arrival = sample_interarrival(m, rng_arrival)
+    heap: list[tuple[float, int]] = []
 
     agents: list[Agent] = []
     pool: list[int] = []
@@ -243,86 +187,61 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     def in_window(agent: Agent) -> bool:
         return not warm or agent.arrival_time > burn_in
 
-    while heap:
-        ev = heappop(heap)
-        t = ev.time
+    while True:
+        arriving = not heap or (next_arrival, len(agents)) <= heap[0]
+        t = next_arrival if arriving else heap[0][0]
         if t > horizon:
             break
-
-        if ev.kind == ARRIVAL:
+        if arriving:
             aid = len(agents) + 1
             sojourn = sample_sojourn(departure, rng_sojourn)
             agent = Agent(aid, t, sojourn, t + sojourn)
             agents.append(agent)
-            if not warm or t > burn_in:
+            if in_window(agent):
                 arrivals += 1
-            seq += 1
-            heappush(heap, SimEvent(t + sample_interarrival(m, rng_arrival), seq, ARRIVAL, -1))
-
-            partner_id = -1
-            if not patient and pool:
-                bits = oracle.query_block(aid, pool)
-                hits = np.flatnonzero(bits)
-                if hits.size:
-                    if by_sojourn:
-                        j = -1
-                        best = (math.inf, 1 << 62)
-                        for h in hits:
-                            mid = pool[h]
-                            key = (agents[mid - 1].critical_time, mid)
-                            if key < best:
-                                best = key
-                                j = h
-                    else:
-                        j = hits[int(rng_tb.integers(hits.size))]
-                    partner_id = pool[j]
-
-            if partner_id >= 0:
-                partner = agents[partner_id - 1]
-                advance(t)
-                _pool_remove(pool, pos, partner_id)
-                partner.resolve(AgentOutcome.MATCHED, t, aid)
-                agent.resolve(AgentOutcome.MATCHED, t, partner_id)
-                if in_window(partner):
-                    agent_wait.add(t - partner.arrival_time)
-                    matched += 1
-                if in_window(agent):
-                    matched += 1
-            else:
-                advance(t)
-                pos[aid] = len(pool)
-                pool.append(aid)
-                if math.isfinite(agent.critical_time):
-                    seq += 1
-                    heappush(heap, SimEvent(agent.critical_time, seq, CRITICAL, aid))
+            next_arrival = t + sample_interarrival(m, rng_arrival)
         else:
-            agent = agents[ev.agent_id - 1]
+            aid = heappop(heap)[1]
+            agent = agents[aid - 1]
             if agent.outcome != AgentOutcome.UNRESOLVED:
                 continue  # already matched; stale event
-            advance(t)
-            _pool_remove(pool, pos, agent.id)
-            partner_id = -1
-            if patient and pool:
-                bits = oracle.query_block(agent.id, pool)
-                hits = np.flatnonzero(bits)
-                if hits.size:
-                    partner_id = pool[hits[int(rng_tb.integers(hits.size))]]
-            if partner_id >= 0:
-                partner = agents[partner_id - 1]
-                _pool_remove(pool, pos, partner_id)
-                partner.resolve(AgentOutcome.MATCHED, t, agent.id)
-                agent.resolve(AgentOutcome.MATCHED, t, partner_id)
-                if in_window(partner):
-                    agent_wait.add(t - partner.arrival_time)
-                    matched += 1
-                if in_window(agent):
+        advance(t)
+        if not arriving:
+            _pool_remove(pool, pos, aid)
+
+        # greedy flavors search at arrival, patient matching at criticality
+        partner_id = -1
+        if arriving != patient and pool:
+            hits = np.flatnonzero(oracle.query_block(aid, pool))
+            if hits.size:
+                if by_sojourn:
+                    j = min(hits, key=lambda h: (agents[pool[h] - 1].critical_time, pool[h]))
+                else:
+                    j = hits[int(rng_tb.integers(hits.size))]
+                partner_id = pool[j]
+
+        if partner_id >= 0:
+            partner = agents[partner_id - 1]
+            _pool_remove(pool, pos, partner_id)
+            partner.resolve(AgentOutcome.MATCHED, t, aid)
+            agent.resolve(AgentOutcome.MATCHED, t, partner_id)
+            if in_window(partner):
+                agent_wait.add(t - partner.arrival_time)
+                matched += 1
+            if in_window(agent):
+                if not arriving:  # an arriving agent leaves at once, with no wait
                     agent_wait.add(t - agent.arrival_time)
-                    matched += 1
-            else:
-                agent.resolve(AgentOutcome.PERISHED, t)
-                if in_window(agent):
-                    agent_wait.add(t - agent.arrival_time)
-                    perished += 1
+                matched += 1
+        elif arriving:
+            pos[aid] = len(pool)
+            pool.append(aid)
+            if math.isfinite(agent.critical_time):
+                heappush(heap, (agent.critical_time, aid))
+        else:
+            agent.resolve(AgentOutcome.PERISHED, t)
+            if in_window(agent):
+                agent_wait.add(t - agent.arrival_time)
+                perished += 1
 
         if traj is not None and traj[-1][1] != len(pool):
             traj.append((t, len(pool)))
@@ -387,9 +306,8 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
     m, T = config.m, config.T
     departure = config.departure
 
-    heap: list[SimEvent] = []
-    seq = 0
-    heappush(heap, SimEvent(sample_interarrival(m, rng_arrival), seq, ARRIVAL, -1))
+    next_arrival = sample_interarrival(m, rng_arrival)
+    heap: list[tuple[float, int]] = []  # criticality events of the first pool
 
     agents: list[Agent] = []
     pool_a: list[int] = []  # perishing pool, kept in arrival order
@@ -414,20 +332,19 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
     def match_in(pool: list[int], hits: np.ndarray) -> int:
         return pool[hits[int(rng_tb.integers(hits.size))]]
 
-    while heap:
-        ev = heappop(heap)
-        t = ev.time
+    while True:
+        arriving = not heap or (next_arrival, len(agents)) <= heap[0]
+        t = next_arrival if arriving else heap[0][0]
         if t > T:
             break
         advance(t)
 
-        if ev.kind == ARRIVAL:
+        if arriving:
             aid = len(agents) + 1
             sojourn = sample_sojourn(departure, rng_sojourn)
             agent = Agent(aid, t, sojourn, t + sojourn)
             agents.append(agent)
-            seq += 1
-            heappush(heap, SimEvent(t + sample_interarrival(m, rng_arrival), seq, ARRIVAL, -1))
+            next_arrival = t + sample_interarrival(m, rng_arrival)
 
             ka, kb = len(pool_a), len(pool_b)
             need = max(ka, kb)
@@ -445,8 +362,7 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
             else:
                 pool_a.append(aid)
                 if math.isfinite(agent.critical_time):
-                    seq += 1
-                    heappush(heap, SimEvent(agent.critical_time, seq, CRITICAL, aid))
+                    heappush(heap, (agent.critical_time, aid))
 
             hits_b = np.flatnonzero(bits[:kb])
             if hits_b.size:
@@ -457,7 +373,7 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
             else:
                 pool_b.append(aid)
         else:
-            agent = agents[ev.agent_id - 1]
+            agent = agents[heappop(heap)[1] - 1]
             if agent.outcome != AgentOutcome.UNRESOLVED:
                 continue
             pool_a.remove(agent.id)
@@ -547,8 +463,7 @@ def instrument_patient_k1(
             continue
         band = min(int((at - lo) * 3.0), 2)
         k[band] += 1
-        exit_time = agent.outcome_time if agent.outcome_time is not None else config.T
-        if exit_time > snap:
+        if agent.outcome_time > snap:
             l += 1
             if band == 0:
                 K1 += 1

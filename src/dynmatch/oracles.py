@@ -191,18 +191,13 @@ def urn_half_exceedance_bound(spec: UrnSpec, m: float) -> UrnBoundCheck:
 
 
 def urn_sample(spec: UrnSpec, rng: np.random.Generator) -> int:
-    """One red count by sequential without-replacement simulation."""
-    red, total, taken = spec.red, spec.total, 0
-    for _ in range(spec.draws):
-        if rng.random() * total < red:
-            taken += 1
-            red -= 1
-        total -= 1
-    return taken
+    """One red count: ``urn_sample_many`` with n = 1."""
+    return int(urn_sample_many(spec, 1, rng)[0])
 
 
 def urn_sample_many(spec: UrnSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized batch of ``urn_sample`` draws (same sequential scheme)."""
+    """``n`` red counts by sequential without-replacement simulation, one
+    uniform per urn and draw."""
     red = np.full(n, spec.red, dtype=np.int64)
     taken = np.zeros(n, dtype=np.int64)
     total = spec.total

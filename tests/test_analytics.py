@@ -13,6 +13,8 @@ from conftest import dense_stationary_solve
 from dynmatch.analytics import (
     ChainParams,
     DomainError,
+    NumericError,
+    StationaryDistribution,
     bound_constants,
     chernoff_poisson,
     exp_estimate,
@@ -112,6 +114,16 @@ class TestStationary:
         assert mean <= 1.01 * math.ceil(math.log(3) * 1e4 / 5.0) + 11
         # mean sits near the equilibrium heuristic log(2) m / d
         assert mean == pytest.approx(math.log(2) * 1e4 / 5.0, rel=0.05)
+
+    def test_mean_above_cap_raises(self):
+        K = 10_000
+        probs = np.zeros(K + 1)
+        probs[K] = 1.0
+        with np.errstate(divide="ignore"):
+            log_probs = np.log(probs)
+        dist = StationaryDistribution(ChainParams(1e4, 5.0), probs, log_probs, K, 0.0)
+        with pytest.raises(NumericError, match="exceeds its cap"):
+            stationary_mean(dist)
 
 
 class TestBoundConstants:

@@ -164,6 +164,18 @@ class TestSweep:
         with pytest.raises(ConfigError):
             self.spec(d_values=(2.0, 60.0))
 
+    def test_duplicate_density_rejected(self, capsys, tmp_path):
+        with pytest.raises(ConfigError, match="distinct"):
+            self.spec(d_values=(2.0, 3.0, 2.0))
+        code, _ = run_cli(
+            capsys,
+            "sweep",
+            "--m", "50", "--T", "2", "--d-list", "2", "2", "--reps", "2",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_output_exit_code(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -206,6 +218,12 @@ class TestAnalyze:
     def test_domain_error_exit_code(self, capsys):
         code, _ = run_cli(capsys, "analyze", "--m", "10", "--d", "20")
         assert code == 2
+
+    def test_far_constant_departure_certifies_waiting_lower_bound(self, capsys):
+        # the atom at c = 20000 is found exactly, not by a probe below c
+        code, out = run_cli(capsys, "analyze", "--m", "1000", "--d", "5", "--departure", "const:20000")
+        assert code == 0
+        assert json.loads(out)["waiting_bounds"]["total_lower"] == 2500.0
 
 
 class TestVerify:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import ks_critical, ks_statistic
 from dynmatch.core import (
+    Agent,
+    AgentOutcome,
     ConfigError,
     Constant,
     DomainError,
@@ -20,10 +22,12 @@ from dynmatch.core import (
     MarketConfig,
     Mixture,
     NeverPerish,
+    NumericError,
     PairCompatibilityOracle,
     PolicyKind,
     RngStreams,
     Uniform,
+    departure_at_least,
     departure_cdf,
     departure_from_dict,
     departure_to_dict,
@@ -96,6 +100,24 @@ class TestDepartureCdf:
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
             departure_cdf(Constant(1.0), -0.1)
+        with pytest.raises(DomainError):
+            departure_at_least(Constant(1.0), -0.1)
+
+    def test_at_least_counts_atoms_exactly(self):
+        # a 1e-12 probe below x == 20000.0 rounds back to x; the atom must stay
+        assert departure_at_least(Constant(20000.0), 20000.0) == 1.0
+        assert departure_at_least(Constant(20000.0), math.nextafter(20000.0, math.inf)) == 0.0
+        two_point = Mixture(((0.5, Constant(1.0)), (0.5, Constant(3.0))))
+        assert departure_at_least(two_point, 1.0) == 1.0
+        assert departure_at_least(two_point, 3.0) == 0.5
+        assert departure_at_least(NeverPerish(), math.inf) == 1.0
+
+    @pytest.mark.parametrize(
+        "spec, x",
+        [(Exponential(1.3), 0.7), (Uniform(0.5, 1.5), 0.9), (Uniform(0.5, 1.5), 0.2)],
+    )
+    def test_at_least_complements_continuous_cdf(self, spec, x):
+        assert departure_at_least(spec, x) == pytest.approx(1.0 - departure_cdf(spec, x), abs=1e-15)
 
     @given(st.floats(min_value=0.0, max_value=10.0), st.floats(min_value=0.0, max_value=10.0))
     @settings(max_examples=100, deadline=None)
@@ -168,16 +190,17 @@ class TestCompatibilityOracle:
         se = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 3 * se
 
-    def test_pair_tracking_catches_requeries(self):
-        oracle = PairCompatibilityOracle(rng(2), 0.5)
-        oracle.enable_pair_tracking()
-        oracle.query_block(5, [1, 2, 3])
-        with pytest.raises(AssertionError):
-            oracle.query_block(2, [5])
-
     def test_invalid_probability_rejected(self):
         with pytest.raises(ConfigError):
             PairCompatibilityOracle(rng(1), 0.0)
+
+
+class TestAgent:
+    def test_second_resolution_raises(self):
+        agent = Agent(1, 0.0, 1.0, 1.0)
+        agent.resolve(AgentOutcome.PERISHED, 1.0)
+        with pytest.raises(NumericError, match="resolved twice"):
+            agent.resolve(AgentOutcome.MATCHED, 1.0, 2)
 
 
 class TestSeeding:

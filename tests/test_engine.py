@@ -21,6 +21,7 @@ from dynmatch import (
     MarketConfig,
     Mixture,
     NeverPerish,
+    PairCompatibilityOracle,
     PolicyKind,
     RangeError,
     Uniform,
@@ -30,7 +31,6 @@ from dynmatch import (
     run,
     run_coupled,
 )
-from dynmatch.engine import RunStats
 from dynmatch.oracles import UrnSpec, urn_exceedance
 
 
@@ -88,13 +88,32 @@ class TestRunBasics:
         stats = run(config(departure=NeverPerish(), seed=3))
         assert stats.perished == 0
 
-    def test_pair_queries_at_most_once(self):
-        engine.PAIR_TRACKING = True
-        try:
-            for policy in ALL_POLICIES:
-                run(config(policy=policy, m=100.0, T=5.0, seed=9))
-        finally:
-            engine.PAIR_TRACKING = False
+    def test_pair_queries_at_most_once(self, monkeypatch):
+        seen: set[tuple[int, int]] = set()
+        queries = []
+        query_block = PairCompatibilityOracle.query_block
+
+        def recording(self, agent_id, member_ids):
+            for mid in member_ids:
+                pair = (min(agent_id, mid), max(agent_id, mid))
+                if pair in seen:
+                    raise AssertionError(f"pair {pair} queried twice")
+                seen.add(pair)
+            queries.append(len(member_ids))
+            return query_block(self, agent_id, member_ids)
+
+        monkeypatch.setattr(PairCompatibilityOracle, "query_block", recording)
+        for policy in ALL_POLICIES:
+            seen.clear()
+            queries.clear()
+            run(config(policy=policy, m=100.0, T=5.0, seed=9))
+            assert queries, f"no compatibility query recorded under {policy.value}"
+
+        seen.clear()
+        oracle = PairCompatibilityOracle(np.random.default_rng(0), 0.5)
+        oracle.query_block(1, [2, 3])
+        with pytest.raises(AssertionError, match="queried twice"):
+            oracle.query_block(3, [1])
 
     def test_matched_pairs_are_consistent(self):
         stats = run(config(policy=PolicyKind.PATIENT, seed=11), keep_agents=True)
@@ -151,6 +170,108 @@ class TestRunBasics:
             run(config(seed=1), burn_in=-1.0)
 
 
+class TestEventOrder:
+    """Event order under exact float ties, and pinned sample paths.
+
+    With unit interarrivals every arrival coincides with the criticality of
+    an earlier agent.  An arrival comes after the criticality of every older
+    agent but before that of the agent who arrived last.
+    """
+
+    @pytest.fixture
+    def unit_gaps(self, monkeypatch):
+        monkeypatch.setattr(engine, "sample_interarrival", lambda m, rng: 1.0)
+
+    @staticmethod
+    def pairs(stats) -> list[tuple[int, int, float]]:
+        return [
+            (a.id, a.partner_id, a.outcome_time)
+            for a in stats.agents
+            if a.outcome == AgentOutcome.MATCHED and a.id < a.partner_id
+        ]
+
+    def test_greedy_arrival_precedes_criticality_of_the_last_arrival(self, unit_gaps):
+        stats = run(config(m=5.0, d=5.0, T=10.5), keep_agents=True)
+        assert stats.arrivals == 10 and stats.perished == 0 and stats.pool_at_T == 0
+        assert self.pairs(stats) == [(k, k + 1, float(k + 1)) for k in range(1, 10, 2)]
+
+    def test_patient_criticality_of_an_older_agent_precedes_the_arrival(self, unit_gaps):
+        stats = run(
+            config(m=5.0, d=5.0, T=10.5, policy=PolicyKind.PATIENT, departure=Constant(2.0)),
+            keep_agents=True,
+        )
+        assert stats.arrivals == 10 and stats.perished == 0 and stats.pool_at_T == 2
+        assert self.pairs(stats) == [(k, k + 1, float(k + 2)) for k in range(1, 8, 2)]
+        assert [a.outcome for a in stats.agents[8:]] == [AgentOutcome.IN_POOL_AT_HORIZON] * 2
+
+    def test_coupled_greedy_arrival_precedes_criticality_of_the_last_arrival(self, unit_gaps):
+        stats_a, stats_b, gap = run_coupled(config(m=5.0, d=5.0, T=10.5))
+        alternating = [(0.0, 0)] + [(float(t), t % 2) for t in range(1, 11)]
+        for stats in (stats_a, stats_b):
+            assert (stats.arrivals, stats.matched, stats.perished, stats.pool_at_T) == (10, 10, 0, 0)
+            assert stats.pool_trajectory == alternating
+        assert gap == 0
+
+    # (arrivals, matched, perished, pool_at_T, total_wait.hex(), trajectory
+    # length) at m=200, d=3, T=10, seed 7.  A change of engine that alters
+    # a sample path updates these together with its version.
+    GOLDEN_DEPARTURES = {
+        "const:1": Constant(1.0),
+        "exp:1": Exponential(1.0),
+        "unif:0.5:1.5": Uniform(0.5, 1.5),
+        "never": NeverPerish(),
+        "mix": Mixture(((0.7, Constant(1.0)), (0.3, Constant(4.0)))),
+    }
+    GOLDEN_RUN = {
+        ("greedy", "const:1"): (2070, 1948, 81, 41, "0x1.9d6ddc7c8cf7cp+8", 2152),
+        ("greedy", "exp:1"): (2070, 1704, 329, 37, "0x1.54b14056d3ab9p+8", 2400),
+        ("greedy", "unif:0.5:1.5"): (2070, 1918, 115, 37, "0x1.909c2baff037ap+8", 2186),
+        ("greedy", "never"): (2070, 2020, 0, 50, "0x1.aee9f06e31533p+8", 2071),
+        ("greedy", "mix"): (2070, 1962, 64, 44, "0x1.9c32513c33f82p+8", 2135),
+        ("patient", "const:1"): (2070, 1804, 104, 162, "0x1.74a859d6cf0c1p+10", 3077),
+        ("patient", "exp:1"): (2070, 1702, 230, 138, "0x1.0567ce1de5560p+10", 3152),
+        ("patient", "unif:0.5:1.5"): (2070, 1776, 135, 159, "0x1.66dc4f8949fe8p+10", 3094),
+        ("patient", "never"): (2070, 0, 0, 2070, "0x1.457bc01cf7f99p+13", 2071),
+        ("patient", "mix"): (2070, 1796, 48, 226, "0x1.053b9e0728cafp+11", 3017),
+        ("greedy-sojourn", "const:1"): (2070, 1960, 67, 43, "0x1.9d71508004f90p+8", 2138),
+        ("greedy-sojourn", "exp:1"): (2070, 1750, 279, 41, "0x1.61fe9fb8d2fffp+8", 2350),
+        ("greedy-sojourn", "unif:0.5:1.5"): (2070, 1956, 86, 28, "0x1.9626231cc64e8p+8", 2157),
+        ("greedy-sojourn", "never"): (2070, 2020, 0, 50, "0x1.aee9f06e31533p+8", 2071),
+        ("greedy-sojourn", "mix"): (2070, 1990, 37, 43, "0x1.a77cdd9ce0eccp+8", 2108),
+    }
+    NEVER_SIDE = (2070, 2020, 0, 50, "0x1.aee9f06e31533p+8", 2071)
+    GOLDEN_COUPLED = {
+        "const:1": (2070, 1926, 96, 48, "0x1.8ffa0d7565159p+8", 2167),
+        "exp:1": (2070, 1686, 344, 40, "0x1.4db8b36456e7fp+8", 2415),
+        "unif:0.5:1.5": (2070, 1898, 126, 46, "0x1.8738fffc9e3bcp+8", 2197),
+        "never": NEVER_SIDE,
+        "mix": (2070, 1954, 67, 49, "0x1.984b560bff4ecp+8", 2138),
+    }
+
+    @staticmethod
+    def fingerprint(stats) -> tuple:
+        return (
+            stats.arrivals,
+            stats.matched,
+            stats.perished,
+            stats.pool_at_T,
+            stats.total_wait.hex(),
+            len(stats.pool_trajectory),
+        )
+
+    @pytest.mark.parametrize("policy, departure", sorted(GOLDEN_RUN))
+    def test_run_golden(self, policy, departure):
+        cfg = config(policy=PolicyKind(policy), departure=self.GOLDEN_DEPARTURES[departure], seed=7)
+        assert self.fingerprint(run(cfg)) == self.GOLDEN_RUN[policy, departure]
+
+    @pytest.mark.parametrize("departure", sorted(GOLDEN_COUPLED))
+    def test_run_coupled_golden(self, departure):
+        stats_a, stats_b, gap = run_coupled(config(departure=self.GOLDEN_DEPARTURES[departure], seed=7))
+        assert self.fingerprint(stats_a) == self.GOLDEN_COUPLED[departure]
+        assert self.fingerprint(stats_b) == self.NEVER_SIDE
+        assert gap == 0
+
+
 class TestPoolIntegral:
     def test_empty_trajectory(self):
         assert pool_integral([(0.0, 0)], 5.0) == 0.0
@@ -192,20 +313,6 @@ class TestPoolIntegral:
 
 
 class TestRunStats:
-    def test_merge_is_associative_on_counters(self):
-        runs = [run(config(seed=s)) for s in (1, 2, 3)]
-        left = RunStats.merged([RunStats.merged(runs[:2]), runs[2]])
-        right = RunStats.merged([runs[0], RunStats.merged(runs[1:])])
-        for field in ("arrivals", "matched", "perished", "pool_at_T", "n_runs"):
-            assert getattr(left, field) == getattr(right, field)
-        assert left.loss == pytest.approx(right.loss, rel=1e-12)
-        total_perished = sum(r.perished for r in runs)
-        assert left.loss == pytest.approx(total_perished / (200.0 * 10.0 * 3))
-
-    def test_merge_rejects_mismatched_markets(self):
-        with pytest.raises(FormatError):
-            RunStats.merged([run(config(seed=1)), run(config(seed=1, d=4.0))])
-
     def test_csv_row_and_json_shape(self):
         stats = run(config(seed=4))
         row = stats.csv_row()
