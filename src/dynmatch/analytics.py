@@ -36,16 +36,6 @@ class ChainParams:
         return 1.0 - self.d / self.m
 
 
-def transition_prob(k: int, params: ChainParams) -> tuple[float, float]:
-    """(p_up, p_down) of the embedded chain at pool size k."""
-    if k < 0:
-        raise DomainError(f"pool size must be >= 0, got {k}")
-    if k == 0:
-        return 1.0, 0.0
-    up = params.q**k
-    return up, 1.0 - up
-
-
 @dataclass(frozen=True)
 class StationaryDistribution:
     """Truncated stationary law of the pool-size chain.
@@ -261,8 +251,8 @@ def waiting_bounds(
     The lower bound mT/(8d) needs mass more than 9/10 on [c, inf] with
     c > 1/d; when that certification fails the lower bound is None.
     """
-    if m <= 0 or T <= 0 or d <= 0:
-        raise DomainError("need m, T, d > 0")
+    if not all(math.isfinite(x) and x > 0 for x in (m, T, d)):
+        raise DomainError(f"need finite m, T, d > 0, got m={m}, T={T}, d={d}")
     upper = 6.0 * m * T / (5.0 * d)
     lower = m * T / (8.0 * d) if (mass_at_least_c > 0.9 and c_min > 1.0 / d) else None
     return lower, upper
@@ -292,21 +282,3 @@ def heuristic_predictions(m: float, d: float) -> HeuristicPrediction:
     loss_both = 0.5 * math.exp(-d / (2 * math.log(2)))
     return HeuristicPrediction(pool_gdy, pool_pat, loss_both)
 
-
-def chernoff_poisson(mu: float, delta: float) -> float:
-    """Chernoff tail bound exp(-mu*delta^2/3) for Poisson/Bernoulli sums."""
-    if mu <= 0:
-        raise DomainError(f"need mu > 0, got {mu}")
-    if not 0 < delta <= 1:
-        raise DomainError(f"need 0 < delta <= 1, got {delta}")
-    return math.exp(-mu * delta * delta / 3.0)
-
-
-def exp_estimate(c: float, m: float) -> float:
-    """The bound exp(-c) for (1 - c/m)^m, checked before returning."""
-    if not 0 <= c < m:
-        raise DomainError(f"need 0 <= c < m, got c={c}, m={m}")
-    bound = math.exp(-c)
-    if (1.0 - c / m) ** m > bound * (1 + 1e-12):
-        raise NumericError("exponential estimate violated")
-    return bound

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -174,7 +174,11 @@ def write_trace_csv(trajectory: list[tuple[float, int]], path: Path) -> None:
 def _config_from_args(args: argparse.Namespace) -> MarketConfig:
     if args.config:
         with open(args.config) as fh:
-            return MarketConfig.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"cannot parse {args.config} as JSON: {exc}") from None
+        return MarketConfig.from_dict(data)
     if args.m is None or args.d is None or args.T is None:
         raise ConfigError("either --config or all of --m/--d/--T are required")
     return MarketConfig(
@@ -184,12 +188,13 @@ def _config_from_args(args: argparse.Namespace) -> MarketConfig:
         policy=PolicyKind(args.policy),
         departure=parse_departure_flag(args.departure),
         seed=args.seed,
-        pool_trace=bool(args.trace_out),
     )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    if args.trace_out:
+        config = replace(config, pool_trace=True)
     stats = run(config, burn_in=args.burn_in)
     if args.trace_out:
         write_trace_csv(stats.pool_trajectory, Path(args.trace_out))

@@ -423,14 +423,19 @@ class MarketConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "MarketConfig":
         try:
+            seed, pool_trace = data["seed"], data.get("pool_trace", False)
+            if isinstance(seed, float) and not seed.is_integer():
+                raise ConfigError(f"seed must be an integer, got {seed!r}")
+            if not isinstance(pool_trace, bool):
+                raise ConfigError(f"pool_trace must be true or false, got {pool_trace!r}")
             return cls(
                 m=float(data["m"]),
                 d=float(data["d"]),
                 T=float(data["T"]),
                 policy=PolicyKind(data["policy"]),
                 departure=departure_from_dict(data["departure"]),
-                seed=int(data["seed"]),
-                pool_trace=bool(data.get("pool_trace", False)),
+                seed=int(seed),
+                pool_trace=pool_trace,
             )
         except (TypeError, KeyError, ValueError) as exc:
             if isinstance(exc, ConfigError):

@@ -9,6 +9,10 @@ who arrived last.  This deterministic order realizes the almost-sure
 uniqueness of event times in the continuous model.  Processing stops at
 the first event strictly after the horizon T: the pending arrival is
 discarded and still-pooled agents are counted at the horizon.
+
+``_Pool`` is the single owner of pool accounting (members, waiting sums,
+counts, trajectory, the conservation and waiting-time checks, and the
+``RunStats`` they build); ``run`` keeps one pool and ``run_coupled`` two.
 """
 
 from __future__ import annotations
@@ -83,21 +87,83 @@ class RunStats:
     matched: int
     perished: int
     pool_at_T: int
-    loss: float
     total_wait: float
-    avg_wait: float
-    n_runs: int = 1
     pool_trajectory: list[tuple[float, int]] | None = None
     agents: list[Agent] | None = None
 
+    @property
+    def loss(self) -> float:
+        return self.perished / (self.m * self.T)
+
+    @property
+    def avg_wait(self) -> float:
+        return self.total_wait / self.arrivals if self.arrivals else 0.0
+
     def to_json_dict(self) -> dict:
-        return {col: getattr(self, col) for col in RUN_CSV_COLUMNS} | {
-            "total_wait": self.total_wait,
-            "n_runs": self.n_runs,
-        }
+        return {col: getattr(self, col) for col in (*RUN_CSV_COLUMNS, "total_wait")}
 
     def csv_row(self) -> list:
         return [getattr(self, col) for col in RUN_CSV_COLUMNS]
+
+
+class _Pool:
+    """Members and accounting of one pool.
+
+    ``wait`` integrates the pool size over time and ``agent_wait`` sums the
+    waits of the counted agents; over a full run they are the same total
+    (the waiting-time identity).
+    """
+
+    __slots__ = ("ids", "wait", "agent_wait", "matched", "perished", "traj", "t_last")
+
+    def __init__(self, trace: bool) -> None:
+        self.ids: list[int] = []
+        self.wait = _Kahan()
+        self.agent_wait = _Kahan()
+        self.matched = 0
+        self.perished = 0
+        self.traj: list[tuple[float, int]] | None = [(0.0, 0)] if trace else None
+        self.t_last = 0.0
+
+    def advance(self, t: float) -> None:
+        """Integrate the pool size up to time ``t``."""
+        if t > self.t_last:
+            self.wait.add(len(self.ids) * (t - self.t_last))
+            self.t_last = t
+
+    def mark(self, t: float) -> None:
+        """Record a trajectory change point at ``t`` if the size changed."""
+        if self.traj is not None and self.traj[-1][1] != len(self.ids):
+            self.traj.append((t, len(self.ids)))
+
+    def stats(self, config: MarketConfig, kind: str, arrivals: int, pool_at_T: int,
+              warm: bool = False, agents: list[Agent] | None = None) -> RunStats:
+        """Check conservation and the waiting-time identity, then build the stats.
+
+        A ``warm`` (burn-in) run skips the identity: only window agents count,
+        so the pool integral is not their wait."""
+        if arrivals != self.matched + self.perished + pool_at_T:
+            raise NumericError(f"conservation violated in the {kind} pool")
+        wait, agent_wait = self.wait.total, self.agent_wait.total
+        if not warm and abs(wait - agent_wait) > 1e-9:
+            raise NumericError(
+                f"waiting-time identity violated in the {kind} pool: {wait} vs {agent_wait}"
+            )
+        return RunStats(
+            seed=config.seed,
+            m=config.m,
+            d=config.d,
+            T=config.T,
+            policy=config.policy.value,
+            departure_kind=kind,
+            arrivals=arrivals,
+            matched=self.matched,
+            perished=self.perished,
+            pool_at_T=pool_at_T,
+            total_wait=agent_wait if warm else wait,
+            pool_trajectory=self.traj,
+            agents=agents,
+        )
 
 
 def pool_integral(trajectory: list[tuple[float, int]], T: float) -> float:
@@ -155,34 +221,21 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     rng_tb = streams.tiebreak
     oracle = PairCompatibilityOracle(streams.compatibility, config.p)
 
-    m, T = config.m, config.T
-    horizon = burn_in + T
+    m = config.m
+    horizon = burn_in + config.T
     warm = burn_in > 0.0
-    policy = config.policy
-    patient = policy is PolicyKind.PATIENT
-    by_sojourn = policy is PolicyKind.GREEDY_SOJOURN
+    patient = config.policy is PolicyKind.PATIENT
+    by_sojourn = config.policy is PolicyKind.GREEDY_SOJOURN
     departure = config.departure
 
     next_arrival = sample_interarrival(m, rng_arrival)
     heap: list[tuple[float, int]] = []
 
     agents: list[Agent] = []
-    pool: list[int] = []
+    ledger = _Pool(config.pool_trace)
+    pool = ledger.ids
     pos: dict[int, int] = {}
-    traj: list[tuple[float, int]] | None = [(0.0, 0)] if config.pool_trace else None
-
     arrivals = 0
-    matched = 0
-    perished = 0
-    wait = _Kahan()
-    agent_wait = _Kahan()
-    t_last = 0.0
-
-    def advance(t: float) -> None:
-        nonlocal t_last
-        if t > t_last:
-            wait.add(len(pool) * (t - t_last))
-            t_last = t
 
     def in_window(agent: Agent) -> bool:
         return not warm or agent.arrival_time > burn_in
@@ -205,7 +258,7 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
             agent = agents[aid - 1]
             if agent.outcome != AgentOutcome.UNRESOLVED:
                 continue  # already matched; stale event
-        advance(t)
+        ledger.advance(t)
         if not arriving:
             _pool_remove(pool, pos, aid)
 
@@ -226,12 +279,12 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
             partner.resolve(AgentOutcome.MATCHED, t, aid)
             agent.resolve(AgentOutcome.MATCHED, t, partner_id)
             if in_window(partner):
-                agent_wait.add(t - partner.arrival_time)
-                matched += 1
+                ledger.agent_wait.add(t - partner.arrival_time)
+                ledger.matched += 1
             if in_window(agent):
                 if not arriving:  # an arriving agent leaves at once, with no wait
-                    agent_wait.add(t - agent.arrival_time)
-                matched += 1
+                    ledger.agent_wait.add(t - agent.arrival_time)
+                ledger.matched += 1
         elif arriving:
             pos[aid] = len(pool)
             pool.append(aid)
@@ -240,46 +293,21 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
         else:
             agent.resolve(AgentOutcome.PERISHED, t)
             if in_window(agent):
-                agent_wait.add(t - agent.arrival_time)
-                perished += 1
+                ledger.agent_wait.add(t - agent.arrival_time)
+                ledger.perished += 1
 
-        if traj is not None and traj[-1][1] != len(pool):
-            traj.append((t, len(pool)))
+        ledger.mark(t)
 
-    advance(horizon)
+    ledger.advance(horizon)
     pool_at_T = 0
     for aid in pool:
         agent = agents[aid - 1]
         agent.resolve(AgentOutcome.IN_POOL_AT_HORIZON, horizon)
         if in_window(agent):
-            agent_wait.add(horizon - agent.arrival_time)
+            ledger.agent_wait.add(horizon - agent.arrival_time)
             pool_at_T += 1
-
-    if arrivals != matched + perished + pool_at_T:
-        raise NumericError("conservation violated: arrivals != matched + perished + pool_at_T")
-    if not warm and abs(wait.total - agent_wait.total) > 1e-9:
-        raise NumericError(
-            f"waiting-time identity violated: {wait.total} vs {agent_wait.total}"
-        )
-    total_wait = agent_wait.total if warm else wait.total
-
-    return RunStats(
-        seed=config.seed,
-        m=m,
-        d=config.d,
-        T=T,
-        policy=policy.value,
-        departure_kind=departure_kind(departure),
-        arrivals=arrivals,
-        matched=matched,
-        perished=perished,
-        pool_at_T=pool_at_T,
-        loss=perished / (m * T),
-        total_wait=total_wait,
-        avg_wait=total_wait / arrivals if arrivals else 0.0,
-        pool_trajectory=traj,
-        agents=agents if keep_agents else None,
-    )
+    return ledger.stats(config, departure_kind(departure), arrivals, pool_at_T,
+                        warm, agents if keep_agents else None)
 
 
 def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
@@ -307,37 +335,22 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
     departure = config.departure
 
     next_arrival = sample_interarrival(m, rng_arrival)
-    heap: list[tuple[float, int]] = []  # criticality events of the first pool
+    heap: list[tuple[float, int]] = []  # criticality events of the perishing pool
 
     agents: list[Agent] = []
-    pool_a: list[int] = []  # perishing pool, kept in arrival order
-    pool_b: list[int] = []  # never-perish pool, kept in arrival order
-    matched_a = matched_b = perished_a = 0
-    wait_a = _Kahan()
-    wait_b = _Kahan()
-    agent_wait_a = _Kahan()
-    agent_wait_b = _Kahan()
-    t_last = 0.0
+    # both pools keep arrival order; the perishing one draws its tie-break first
+    perishing = _Pool(config.pool_trace)
+    never = _Pool(config.pool_trace)
+    sides = (perishing, never)
     max_gap = 0
-    traj_a: list[tuple[float, int]] | None = [(0.0, 0)] if config.pool_trace else None
-    traj_b: list[tuple[float, int]] | None = [(0.0, 0)] if config.pool_trace else None
-
-    def advance(t: float) -> None:
-        nonlocal t_last
-        if t > t_last:
-            wait_a.add(len(pool_a) * (t - t_last))
-            wait_b.add(len(pool_b) * (t - t_last))
-            t_last = t
-
-    def match_in(pool: list[int], hits: np.ndarray) -> int:
-        return pool[hits[int(rng_tb.integers(hits.size))]]
 
     while True:
         arriving = not heap or (next_arrival, len(agents)) <= heap[0]
         t = next_arrival if arriving else heap[0][0]
         if t > T:
             break
-        advance(t)
+        for side in sides:
+            side.advance(t)
 
         if arriving:
             aid = len(agents) + 1
@@ -346,89 +359,46 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
             agents.append(agent)
             next_arrival = t + sample_interarrival(m, rng_arrival)
 
-            ka, kb = len(pool_a), len(pool_b)
-            need = max(ka, kb)
+            need = max(len(perishing.ids), len(never.ids))
             bits = rng_compat.random(need) < p if need else np.empty(0, dtype=bool)
-
-            hits_a = np.flatnonzero(bits[:ka])
-            if hits_a.size:
-                partner_id = match_in(pool_a, hits_a)
-                pool_a.remove(partner_id)
-                partner = agents[partner_id - 1]
-                partner.resolve(AgentOutcome.MATCHED, t, aid)
-                agent.resolve(AgentOutcome.MATCHED, t, partner_id)
-                agent_wait_a.add(t - partner.arrival_time)
-                matched_a += 2
-            else:
-                pool_a.append(aid)
-                if math.isfinite(agent.critical_time):
-                    heappush(heap, (agent.critical_time, aid))
-
-            hits_b = np.flatnonzero(bits[:kb])
-            if hits_b.size:
-                partner_id = match_in(pool_b, hits_b)
-                pool_b.remove(partner_id)
-                agent_wait_b.add(t - agents[partner_id - 1].arrival_time)
-                matched_b += 2
-            else:
-                pool_b.append(aid)
+            for side in sides:
+                hits = np.flatnonzero(bits[: len(side.ids)])
+                if hits.size:
+                    partner_id = side.ids[hits[int(rng_tb.integers(hits.size))]]
+                    side.ids.remove(partner_id)
+                    partner = agents[partner_id - 1]
+                    side.agent_wait.add(t - partner.arrival_time)
+                    side.matched += 2
+                    if side is perishing:
+                        partner.resolve(AgentOutcome.MATCHED, t, aid)
+                        agent.resolve(AgentOutcome.MATCHED, t, partner_id)
+                else:
+                    side.ids.append(aid)
+                    if side is perishing and math.isfinite(agent.critical_time):
+                        heappush(heap, (agent.critical_time, aid))
         else:
             agent = agents[heappop(heap)[1] - 1]
             if agent.outcome != AgentOutcome.UNRESOLVED:
                 continue
-            pool_a.remove(agent.id)
+            perishing.ids.remove(agent.id)
             agent.resolve(AgentOutcome.PERISHED, t)
-            agent_wait_a.add(t - agent.arrival_time)
-            perished_a += 1
+            perishing.agent_wait.add(t - agent.arrival_time)
+            perishing.perished += 1
 
-        gap = len(pool_a) - len(pool_b)
-        if gap > max_gap:
-            max_gap = gap
-        if traj_a is not None:
-            if traj_a[-1][1] != len(pool_a):
-                traj_a.append((t, len(pool_a)))
-            if traj_b[-1][1] != len(pool_b):
-                traj_b.append((t, len(pool_b)))
+        max_gap = max(max_gap, len(perishing.ids) - len(never.ids))
+        for side in sides:
+            side.mark(t)
 
-    advance(T)
-    for aid in pool_a:
-        agent = agents[aid - 1]
-        agent.resolve(AgentOutcome.IN_POOL_AT_HORIZON, T)
-        agent_wait_a.add(T - agent.arrival_time)
-    for aid in pool_b:
-        agent_wait_b.add(T - agents[aid - 1].arrival_time)
-
-    arrivals = len(agents)
-    if arrivals != matched_a + perished_a + len(pool_a):
-        raise NumericError("conservation violated in coupled perishing pool")
-    if arrivals != matched_b + len(pool_b):
-        raise NumericError("conservation violated in coupled never-perish pool")
-    if abs(wait_a.total - agent_wait_a.total) > 1e-9:
-        raise NumericError("waiting-time identity violated in coupled perishing pool")
-    if abs(wait_b.total - agent_wait_b.total) > 1e-9:
-        raise NumericError("waiting-time identity violated in coupled never-perish pool")
-
-    def stats(kind: str, matched: int, perished: int, pool: list[int], wait: _Kahan, traj) -> RunStats:
-        return RunStats(
-            seed=config.seed,
-            m=m,
-            d=config.d,
-            T=T,
-            policy=PolicyKind.GREEDY.value,
-            departure_kind=kind,
-            arrivals=arrivals,
-            matched=matched,
-            perished=perished,
-            pool_at_T=len(pool),
-            loss=perished / (m * T),
-            total_wait=wait.total,
-            avg_wait=wait.total / arrivals if arrivals else 0.0,
-            pool_trajectory=traj,
-        )
+    for side in sides:
+        side.advance(T)
+        for aid in side.ids:
+            side.agent_wait.add(T - agents[aid - 1].arrival_time)
+    for aid in perishing.ids:
+        agents[aid - 1].resolve(AgentOutcome.IN_POOL_AT_HORIZON, T)
 
     return (
-        stats(departure_kind(departure), matched_a, perished_a, pool_a, wait_a, traj_a),
-        stats("never", matched_b, 0, pool_b, wait_b, traj_b),
+        perishing.stats(config, departure_kind(departure), len(agents), len(perishing.ids)),
+        never.stats(config, "never", len(agents), len(never.ids)),
         max_gap,
     )
 

@@ -16,8 +16,6 @@ from dynmatch.analytics import (
     NumericError,
     StationaryDistribution,
     bound_constants,
-    chernoff_poisson,
-    exp_estimate,
     gdy_loss_lower,
     gdy_loss_upper,
     heuristic_predictions,
@@ -25,36 +23,8 @@ from dynmatch.analytics import (
     stationary,
     stationary_mean,
     stationary_tail_decay,
-    transition_prob,
     waiting_bounds,
 )
-
-
-class TestTransitionProb:
-    def test_origin_always_steps_up(self):
-        assert transition_prob(0, ChainParams(10.0, 5.0)) == (1.0, 0.0)
-
-    def test_half_density_single_agent(self):
-        up, down = transition_prob(1, ChainParams(2.0, 1.0))
-        assert up == down == 0.5
-
-    def test_two_agents_at_low_density(self):
-        up, down = transition_prob(2, ChainParams(10.0, 1.0))
-        assert up == pytest.approx(0.81)
-        assert down == pytest.approx(0.19)
-
-    @given(st.integers(min_value=0, max_value=500))
-    @settings(max_examples=50, deadline=None)
-    def test_probabilities_sum_to_one_and_decay(self, k):
-        params = ChainParams(40.0, 3.0)
-        up, down = transition_prob(k, params)
-        assert up + down == pytest.approx(1.0)
-        if k >= 1:
-            assert transition_prob(k + 1, params)[0] < up
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(DomainError):
-            transition_prob(-1, ChainParams(10.0, 1.0))
 
 
 class TestStationary:
@@ -227,36 +197,3 @@ class TestHeuristics:
         with pytest.raises(DomainError):
             heuristic_predictions(1000.0, 0.5)
 
-
-class TestTailInequalities:
-    def test_chernoff_value(self):
-        assert chernoff_poisson(100.0, 0.3) == pytest.approx(math.exp(-3.0), rel=1e-12)
-
-    def test_chernoff_dominates_exact_poisson_tail(self):
-        # exact P(X <= 70) for X ~ Poisson(100), by direct summation
-        exact = math.fsum(
-            math.exp(-100.0 + k * math.log(100.0) - math.lgamma(k + 1)) for k in range(71)
-        )
-        assert exact == pytest.approx(0.0009714440282774215, rel=1e-9)
-        assert exact <= chernoff_poisson(100.0, 0.3)
-
-    def test_chernoff_domain(self):
-        with pytest.raises(DomainError):
-            chernoff_poisson(100.0, 1.5)
-        with pytest.raises(DomainError):
-            chernoff_poisson(0.0, 0.5)
-
-    def test_exp_estimate(self):
-        assert exp_estimate(1.0, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert (1.0 - 1.0 / 2.0) ** 2 <= exp_estimate(1.0, 2.0)
-        with pytest.raises(DomainError):
-            exp_estimate(2.0, 2.0)
-
-    @given(
-        st.floats(min_value=0.0, max_value=50.0),
-        st.floats(min_value=0.1, max_value=100.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_exp_estimate_inequality_everywhere(self, c, extra):
-        m = c + extra
-        assert (1.0 - c / m) ** m <= exp_estimate(c, m) * (1 + 1e-12)

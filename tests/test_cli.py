@@ -38,6 +38,7 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["arrivals"] == payload["matched"] + payload["perished"] + payload["pool_at_T"]
         assert payload["policy"] == "greedy"
+        assert "n_runs" not in payload
 
     def test_never_perish_has_zero_perished(self, capsys):
         code, out = run_cli(
@@ -48,20 +49,50 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["perished"] == 0
 
+    CONFIG = {
+        "m": 100.0,
+        "d": 4.0,
+        "T": 5.0,
+        "policy": "patient",
+        "departure": {"kind": "constant", "c": 1.0},
+        "seed": 3,
+    }
+
     def test_config_file(self, capsys, tmp_path):
-        config = {
-            "m": 100.0,
-            "d": 4.0,
-            "T": 5.0,
-            "policy": "patient",
-            "departure": {"kind": "constant", "c": 1.0},
-            "seed": 3,
-        }
         path = tmp_path / "market.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(self.CONFIG))
         code, out = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 0
         assert json.loads(out)["policy"] == "patient"
+
+    def test_config_file_with_trace_output(self, capsys, tmp_path):
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(self.CONFIG))
+        trace = tmp_path / "trace.csv"
+        code, out = run_cli(capsys, "simulate", "--config", str(path), "--trace-out", str(trace))
+        assert code == 0
+        assert json.loads(out)["policy"] == "patient"
+        lines = trace.read_text().splitlines()
+        assert lines[:3] == ["#schema=1", "time,size", "0.0,0"]
+        assert len(lines) > 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps(CONFIG)[:-10],
+            json.dumps(CONFIG | {"pool_trace": "false"}),
+            json.dumps(CONFIG | {"seed": 1.7}),
+        ],
+        ids=["truncated", "string-pool-trace", "fractional-seed"],
+    )
+    def test_bad_config_file_exit_code(self, capsys, tmp_path, text):
+        path = tmp_path / "market.json"
+        path.write_text(text)
+        code = main(["simulate", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_trace_output(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -218,6 +249,14 @@ class TestAnalyze:
     def test_domain_error_exit_code(self, capsys):
         code, _ = run_cli(capsys, "analyze", "--m", "10", "--d", "20")
         assert code == 2
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_non_finite_horizon_rejected(self, capsys, horizon):
+        code = main(["analyze", "--m", "100", "--d", "3", "--T", horizon])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_far_constant_departure_certifies_waiting_lower_bound(self, capsys):
         # the atom at c = 20000 is found exactly, not by a probe below c

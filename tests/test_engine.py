@@ -239,6 +239,12 @@ class TestEventOrder:
         ("greedy-sojourn", "never"): (2070, 2020, 0, 50, "0x1.aee9f06e31533p+8", 2071),
         ("greedy-sojourn", "mix"): (2070, 1990, 37, 43, "0x1.a77cdd9ce0eccp+8", 2108),
     }
+    # the same market at burn_in = 2, where total_wait is the window agents' sum
+    GOLDEN_BURN_IN = {
+        ("greedy", "const:1"): (2037, 1893, 95, 49, "0x1.a0053addb97c9p+8", 2566),
+        ("patient", "const:1"): (2037, 1782, 113, 142, "0x1.6b58c9b585a8ep+10", 3678),
+        ("greedy-sojourn", "const:1"): (2037, 1917, 75, 45, "0x1.9e250d8054f8cp+8", 2542),
+    }
     NEVER_SIDE = (2070, 2020, 0, 50, "0x1.aee9f06e31533p+8", 2071)
     GOLDEN_COUPLED = {
         "const:1": (2070, 1926, 96, 48, "0x1.8ffa0d7565159p+8", 2167),
@@ -263,6 +269,11 @@ class TestEventOrder:
     def test_run_golden(self, policy, departure):
         cfg = config(policy=PolicyKind(policy), departure=self.GOLDEN_DEPARTURES[departure], seed=7)
         assert self.fingerprint(run(cfg)) == self.GOLDEN_RUN[policy, departure]
+
+    @pytest.mark.parametrize("policy, departure", sorted(GOLDEN_BURN_IN))
+    def test_run_golden_burn_in(self, policy, departure):
+        cfg = config(policy=PolicyKind(policy), departure=self.GOLDEN_DEPARTURES[departure], seed=7)
+        assert self.fingerprint(run(cfg, burn_in=2.0)) == self.GOLDEN_BURN_IN[policy, departure]
 
     @pytest.mark.parametrize("departure", sorted(GOLDEN_COUPLED))
     def test_run_coupled_golden(self, departure):
