@@ -103,6 +103,8 @@ class SweepSpec:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RunStats]:
     """Run all (d, replication) cells; rows come back in cell order
     regardless of execution order or parallelism."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     configs = [
         spec.cell_config(i, rep)
         for i in range(len(spec.d_values))
@@ -448,6 +450,8 @@ VERIFY_CHECKS = ("coupling", "ruin", "urn", "dominance", "identities", "timechan
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {args.runs}")
     selected = VERIFY_CHECKS if "all" in args.check else tuple(args.check)
     results = []
     for name in selected:

@@ -21,6 +21,8 @@ libraries.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Union
@@ -266,6 +268,14 @@ def departure_to_dict(spec: DepartureSpec) -> dict:
     raise ConfigError(f"unknown departure spec {spec!r}")
 
 
+def _number(data: dict, key: str) -> float:
+    """``float(data[key])``, refusing JSON booleans (``float(True)`` is 1.0)."""
+    value = data[key]
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def departure_from_dict(data: dict) -> DepartureSpec:
     try:
         kind = data["kind"]
@@ -273,17 +283,17 @@ def departure_from_dict(data: dict) -> DepartureSpec:
         raise ConfigError(f"departure object needs a 'kind' key, got {data!r}") from None
     try:
         if kind == "constant":
-            return Constant(float(data["c"]))
+            return Constant(_number(data, "c"))
         if kind == "exponential":
-            return Exponential(float(data["rate"]))
+            return Exponential(_number(data, "rate"))
         if kind == "uniform":
-            return Uniform(float(data["a"]), float(data["b"]))
+            return Uniform(_number(data, "a"), _number(data, "b"))
         if kind == "never":
             return NeverPerish()
         if kind == "mixture":
             return Mixture(
                 tuple(
-                    (float(entry["weight"]), departure_from_dict(entry["spec"]))
+                    (_number(entry, "weight"), departure_from_dict(entry["spec"]))
                     for entry in data["components"]
                 )
             )
@@ -353,6 +363,30 @@ class Agent:
         self.partner_id = partner_id
 
 
+# Uniforms per block of a drawn stream; private, they change no output bit.
+_UNIFORM_BLOCK = 1024
+_COMPAT_BLOCK = 8192
+
+
+class BlockUniforms:
+    """Stand-in for a generator whose ``random()`` yields the floats of
+    successive scalar ``rng.random()`` calls, drawn in blocks.
+
+    ``rng.random(n)`` is exactly ``n`` scalar calls, so a sampler that is
+    handed this object instead of ``rng`` returns the same values.  It
+    draws ahead, so it must be the only consumer of ``rng``.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        def stream():
+            while True:
+                yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+        self.random = stream().__next__
+
+
 class PairCompatibilityOracle:
     """Bernoulli(p) compatibility draws, one per unordered agent pair.
 
@@ -360,19 +394,46 @@ class PairCompatibilityOracle:
     at the later agent's arrival under greedy matching, at the earlier
     criticality under patient matching.  Each pair is queried at most once
     per run, so lazy drawing is distributionally exact.
+
+    Uniforms come from ``rng`` in blocks; each block's hit positions
+    (``flatnonzero(block < p)``) are found once, and a query walks a
+    pointer over them.  Over all queries, the uniforms are used in the
+    order of successive scalar ``rng.random()`` calls; the oracle draws
+    ahead, so it must be the only consumer of ``rng``.
     """
 
-    __slots__ = ("rng", "p")
+    __slots__ = ("rng", "p", "_hits", "_next", "_pos", "_fill")
 
     def __init__(self, rng: np.random.Generator, p: float) -> None:
         if not 0 < p <= 1:
             raise ConfigError(f"compatibility probability must be in (0, 1], got {p}")
         self.rng = rng
         self.p = p
+        self._hits: list[int] = []  # positions in the current block of uniforms < p
+        self._next = 0  # index in _hits of the first hit at or after _pos
+        self._pos = 0  # position in the block of the next uniform to use
+        self._fill = 0  # uniforms in the current block (0 before the first draw)
 
-    def query_block(self, agent_id: int, member_ids: list[int]) -> np.ndarray:
-        """Query one agent against a block of pool members (one draw each)."""
-        return self.rng.random(len(member_ids)) < self.p
+    def query_block(self, agent_id: int, member_ids: Sequence[int]) -> list[int]:
+        """Query one agent against a block of pool members, one draw each.
+
+        Returns the ascending offsets into ``member_ids`` of the compatible
+        members: the positions of ``rng.random(len(member_ids)) < p``."""
+        begin = self._pos  # block position of the first member (negative once past a refill)
+        end = begin + len(member_ids)
+        out: list[int] = []
+        while end > self._fill:  # take the rest of this block, draw the next
+            out += [h - begin for h in self._hits[self._next:]]
+            begin -= self._fill
+            end -= self._fill
+            self._hits = np.flatnonzero(self.rng.random(_COMPAT_BLOCK) < self.p).tolist()
+            self._next, self._fill = 0, _COMPAT_BLOCK
+        hits, i = self._hits, self._next
+        j = bisect_left(hits, end, i)
+        self._next, self._pos = j, end
+        if j > i:
+            out += [h - begin for h in hits[i:j]]
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -424,14 +485,14 @@ class MarketConfig:
     def from_dict(cls, data: dict) -> "MarketConfig":
         try:
             seed, pool_trace = data["seed"], data.get("pool_trace", False)
-            if isinstance(seed, float) and not seed.is_integer():
+            if isinstance(seed, bool) or isinstance(seed, float) and not seed.is_integer():
                 raise ConfigError(f"seed must be an integer, got {seed!r}")
             if not isinstance(pool_trace, bool):
                 raise ConfigError(f"pool_trace must be true or false, got {pool_trace!r}")
             return cls(
-                m=float(data["m"]),
-                d=float(data["d"]),
-                T=float(data["T"]),
+                m=_number(data, "m"),
+                d=_number(data, "d"),
+                T=_number(data, "T"),
                 policy=PolicyKind(data["policy"]),
                 departure=departure_from_dict(data["departure"]),
                 seed=int(seed),

@@ -18,14 +18,15 @@ counts, trajectory, the conservation and waiting-time checks, and the
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
-
-import numpy as np
 
 from .core import (
     Agent,
     AgentOutcome,
+    BlockUniforms,
     ConfigError,
     Constant,
     FormatError,
@@ -189,11 +190,10 @@ def _pool_remove(pool: list[int], pos: dict[int, int], agent_id: int) -> None:
     # Swap-remove keeps O(1); pool order is irrelevant here because every
     # pair draw is fresh (see PairCompatibilityOracle).
     i = pos.pop(agent_id)
-    last = pool[-1]
+    last = pool.pop()
     if last != agent_id:
         pool[i] = last
         pos[last] = i
-    pool.pop()
 
 
 def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0) -> RunStats:
@@ -212,14 +212,17 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     holds within that window; the matched count may then be odd and
     total_wait is the window agents' waiting sum, not the full pool
     integral.  It is zero in every reference protocol.
+
+    Per-agent state lives in flat arrays indexed by id; ``Agent`` records
+    are built at the end, and only for ``keep_agents``.
     """
     if burn_in < 0 or not math.isfinite(burn_in):
         raise ConfigError(f"burn_in must be finite and >= 0, got {burn_in}")
     streams = RngStreams.from_seed(config.seed)
-    rng_arrival = streams.interarrival
-    rng_sojourn = streams.sojourn
-    rng_tb = streams.tiebreak
-    oracle = PairCompatibilityOracle(streams.compatibility, config.p)
+    gaps = BlockUniforms(streams.interarrival)
+    sojourns = BlockUniforms(streams.sojourn)
+    tiebreak = streams.tiebreak.integers
+    query = PairCompatibilityOracle(streams.compatibility, config.p).query_block
 
     m = config.m
     horizon = burn_in + config.T
@@ -228,86 +231,105 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     by_sojourn = config.policy is PolicyKind.GREEDY_SOJOURN
     departure = config.departure
 
-    next_arrival = sample_interarrival(m, rng_arrival)
-    heap: list[tuple[float, int]] = []
+    # per-agent state, indexed by id (slot 0 unused)
+    arrival = array("d", [0.0])
+    sojourn = array("d", [0.0])
+    outcome = bytearray(1)
+    partner = array("q", [0])
+    outcome_time = array("d", [0.0])
+    n = 0  # agents so far
+    first = 1  # ids >= first arrived after burn_in; arrival times never decrease
 
-    agents: list[Agent] = []
     ledger = _Pool(config.pool_trace)
+    advance, mark, add_wait = ledger.advance, ledger.mark, ledger.agent_wait.add
     pool = ledger.ids
     pos: dict[int, int] = {}
-    arrivals = 0
-
-    def in_window(agent: Agent) -> bool:
-        return not warm or agent.arrival_time > burn_in
+    heap: list[tuple[float, int]] = []
+    next_arrival = sample_interarrival(m, gaps)
 
     while True:
-        arriving = not heap or (next_arrival, len(agents)) <= heap[0]
+        arriving = not heap or (next_arrival, n) <= heap[0]
         t = next_arrival if arriving else heap[0][0]
         if t > horizon:
             break
         if arriving:
-            aid = len(agents) + 1
-            sojourn = sample_sojourn(departure, rng_sojourn)
-            agent = Agent(aid, t, sojourn, t + sojourn)
-            agents.append(agent)
-            if in_window(agent):
-                arrivals += 1
-            next_arrival = t + sample_interarrival(m, rng_arrival)
+            n += 1
+            aid = n
+            s = sample_sojourn(departure, sojourns)
+            arrival.append(t)
+            sojourn.append(s)
+            outcome.append(AgentOutcome.UNRESOLVED)
+            partner.append(0)
+            outcome_time.append(0.0)
+            if warm and t <= burn_in:
+                first = n + 1
+            next_arrival = t + sample_interarrival(m, gaps)
         else:
             aid = heappop(heap)[1]
-            agent = agents[aid - 1]
-            if agent.outcome != AgentOutcome.UNRESOLVED:
+            if outcome[aid] != AgentOutcome.UNRESOLVED:
                 continue  # already matched; stale event
-        ledger.advance(t)
+        advance(t)
         if not arriving:
             _pool_remove(pool, pos, aid)
 
         # greedy flavors search at arrival, patient matching at criticality
-        partner_id = -1
+        partner_id = 0
         if arriving != patient and pool:
-            hits = np.flatnonzero(oracle.query_block(aid, pool))
-            if hits.size:
+            hits = query(aid, pool)
+            if hits:
                 if by_sojourn:
-                    j = min(hits, key=lambda h: (agents[pool[h] - 1].critical_time, pool[h]))
+                    j = min(hits, key=lambda h: (arrival[pool[h]] + sojourn[pool[h]], pool[h]))
                 else:
-                    j = hits[int(rng_tb.integers(hits.size))]
+                    j = hits[int(tiebreak(len(hits)))]
                 partner_id = pool[j]
 
-        if partner_id >= 0:
-            partner = agents[partner_id - 1]
+        if partner_id:
             _pool_remove(pool, pos, partner_id)
-            partner.resolve(AgentOutcome.MATCHED, t, aid)
-            agent.resolve(AgentOutcome.MATCHED, t, partner_id)
-            if in_window(partner):
-                ledger.agent_wait.add(t - partner.arrival_time)
+            outcome[aid] = outcome[partner_id] = AgentOutcome.MATCHED
+            partner[aid], partner[partner_id] = partner_id, aid
+            outcome_time[aid] = outcome_time[partner_id] = t
+            if partner_id >= first:
+                add_wait(t - arrival[partner_id])
                 ledger.matched += 1
-            if in_window(agent):
+            if aid >= first:
                 if not arriving:  # an arriving agent leaves at once, with no wait
-                    ledger.agent_wait.add(t - agent.arrival_time)
+                    add_wait(t - arrival[aid])
                 ledger.matched += 1
         elif arriving:
             pos[aid] = len(pool)
             pool.append(aid)
-            if math.isfinite(agent.critical_time):
-                heappush(heap, (agent.critical_time, aid))
+            if math.isfinite(t + s):
+                heappush(heap, (t + s, aid))
         else:
-            agent.resolve(AgentOutcome.PERISHED, t)
-            if in_window(agent):
-                ledger.agent_wait.add(t - agent.arrival_time)
+            outcome[aid] = AgentOutcome.PERISHED
+            outcome_time[aid] = t
+            if aid >= first:
+                add_wait(t - arrival[aid])
                 ledger.perished += 1
 
-        ledger.mark(t)
+        mark(t)
 
-    ledger.advance(horizon)
+    advance(horizon)
     pool_at_T = 0
     for aid in pool:
-        agent = agents[aid - 1]
-        agent.resolve(AgentOutcome.IN_POOL_AT_HORIZON, horizon)
-        if in_window(agent):
-            ledger.agent_wait.add(horizon - agent.arrival_time)
+        outcome[aid] = AgentOutcome.IN_POOL_AT_HORIZON
+        outcome_time[aid] = horizon
+        if aid >= first:
+            add_wait(horizon - arrival[aid])
             pool_at_T += 1
-    return ledger.stats(config, departure_kind(departure), arrivals, pool_at_T,
-                        warm, agents if keep_agents else None)
+    # each window agent's final outcome must be the one the ledger counted
+    if (outcome.count(AgentOutcome.MATCHED, first), outcome.count(AgentOutcome.PERISHED, first)) != (
+        ledger.matched, ledger.perished
+    ):
+        raise NumericError("per-agent outcomes disagree with the pool's counts")
+    agents = None
+    if keep_agents:
+        agents = [
+            Agent(i, arrival[i], sojourn[i], arrival[i] + sojourn[i], AgentOutcome(outcome[i]),
+                  partner[i] or None, outcome_time[i])
+            for i in range(1, n + 1)
+        ]
+    return ledger.stats(config, departure_kind(departure), n - first + 1, pool_at_T, warm, agents)
 
 
 def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
@@ -326,26 +348,28 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
         raise ConfigError("coupled mode is defined for the greedy policy only")
 
     streams = RngStreams.from_seed(config.seed)
-    rng_arrival = streams.interarrival
-    rng_sojourn = streams.sojourn
-    rng_compat = streams.compatibility
-    rng_tb = streams.tiebreak
-    p = config.p
+    gaps = BlockUniforms(streams.interarrival)
+    sojourns = BlockUniforms(streams.sojourn)
+    tiebreak = streams.tiebreak.integers
+    query = PairCompatibilityOracle(streams.compatibility, config.p).query_block
     m, T = config.m, config.T
     departure = config.departure
 
-    next_arrival = sample_interarrival(m, rng_arrival)
+    arrival = array("d", [0.0])  # indexed by id (slot 0 unused)
+    matched = bytearray(1)  # matched in the perishing pool
+    n = 0
+    next_arrival = sample_interarrival(m, gaps)
     heap: list[tuple[float, int]] = []  # criticality events of the perishing pool
 
-    agents: list[Agent] = []
-    # both pools keep arrival order; the perishing one draws its tie-break first
+    # both pools keep ascending ids (arrival order); the perishing one draws
+    # its tie-break first
     perishing = _Pool(config.pool_trace)
     never = _Pool(config.pool_trace)
     sides = (perishing, never)
     max_gap = 0
 
     while True:
-        arriving = not heap or (next_arrival, len(agents)) <= heap[0]
+        arriving = not heap or (next_arrival, n) <= heap[0]
         t = next_arrival if arriving else heap[0][0]
         if t > T:
             break
@@ -353,36 +377,36 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
             side.advance(t)
 
         if arriving:
-            aid = len(agents) + 1
-            sojourn = sample_sojourn(departure, rng_sojourn)
-            agent = Agent(aid, t, sojourn, t + sojourn)
-            agents.append(agent)
-            next_arrival = t + sample_interarrival(m, rng_arrival)
+            n += 1
+            s = sample_sojourn(departure, sojourns)
+            arrival.append(t)
+            matched.append(0)
+            next_arrival = t + sample_interarrival(m, gaps)
 
-            need = max(len(perishing.ids), len(never.ids))
-            bits = rng_compat.random(need) < p if need else np.empty(0, dtype=bool)
+            # side j's hits are the shared offsets below its pool size
+            hits = query(n, max(perishing.ids, never.ids, key=len))
             for side in sides:
-                hits = np.flatnonzero(bits[: len(side.ids)])
-                if hits.size:
-                    partner_id = side.ids[hits[int(rng_tb.integers(hits.size))]]
-                    side.ids.remove(partner_id)
-                    partner = agents[partner_id - 1]
-                    side.agent_wait.add(t - partner.arrival_time)
+                ids = side.ids
+                k = bisect_left(hits, len(ids))
+                if k:
+                    j = hits[int(tiebreak(k))]
+                    partner_id = ids[j]
+                    del ids[j]
+                    side.agent_wait.add(t - arrival[partner_id])
                     side.matched += 2
                     if side is perishing:
-                        partner.resolve(AgentOutcome.MATCHED, t, aid)
-                        agent.resolve(AgentOutcome.MATCHED, t, partner_id)
+                        matched[partner_id] = 1
                 else:
-                    side.ids.append(aid)
-                    if side is perishing and math.isfinite(agent.critical_time):
-                        heappush(heap, (agent.critical_time, aid))
+                    ids.append(n)
+                    if side is perishing and math.isfinite(t + s):
+                        heappush(heap, (t + s, n))
         else:
-            agent = agents[heappop(heap)[1] - 1]
-            if agent.outcome != AgentOutcome.UNRESOLVED:
+            aid = heappop(heap)[1]
+            if matched[aid]:
                 continue
-            perishing.ids.remove(agent.id)
-            agent.resolve(AgentOutcome.PERISHED, t)
-            perishing.agent_wait.add(t - agent.arrival_time)
+            ids = perishing.ids
+            del ids[bisect_left(ids, aid)]
+            perishing.agent_wait.add(t - arrival[aid])
             perishing.perished += 1
 
         max_gap = max(max_gap, len(perishing.ids) - len(never.ids))
@@ -392,13 +416,11 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
     for side in sides:
         side.advance(T)
         for aid in side.ids:
-            side.agent_wait.add(T - agents[aid - 1].arrival_time)
-    for aid in perishing.ids:
-        agents[aid - 1].resolve(AgentOutcome.IN_POOL_AT_HORIZON, T)
+            side.agent_wait.add(T - arrival[aid])
 
     return (
-        perishing.stats(config, departure_kind(departure), len(agents), len(perishing.ids)),
-        never.stats(config, "never", len(agents), len(never.ids)),
+        perishing.stats(config, departure_kind(departure), n, len(perishing.ids)),
+        never.stats(config, "never", n, len(never.ids)),
         max_gap,
     )
 

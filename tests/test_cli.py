@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from dynmatch import cli
 from dynmatch.cli import (
     SweepSpec,
     main,
@@ -18,6 +19,10 @@ from dynmatch.cli import (
     write_summary_csv,
 )
 from dynmatch.core import ConfigError, Constant, PolicyKind
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a run started although the arguments are invalid")
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -82,8 +87,11 @@ class TestSimulate:
             json.dumps(CONFIG)[:-10],
             json.dumps(CONFIG | {"pool_trace": "false"}),
             json.dumps(CONFIG | {"seed": 1.7}),
+            json.dumps(CONFIG | {"seed": True}),
+            json.dumps(CONFIG | {"m": True, "d": 0.5}),
+            json.dumps(CONFIG | {"departure": {"kind": "constant", "c": True}}),
         ],
-        ids=["truncated", "string-pool-trace", "fractional-seed"],
+        ids=["truncated", "string-pool-trace", "fractional-seed", "bool-seed", "bool-m", "bool-departure-c"],
     )
     def test_bad_config_file_exit_code(self, capsys, tmp_path, text):
         path = tmp_path / "market.json"
@@ -207,6 +215,18 @@ class TestSweep:
         assert code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_rejected_before_any_run(self, capsys, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(cli, "run", _no_work)
+        code = main([
+            "sweep",
+            "--m", "50", "--T", "2", "--d-list", "2", "--reps", "1",
+            "--out", str(tmp_path / "out"), "--jobs", jobs,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_output_exit_code(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -289,6 +309,16 @@ class TestVerify:
         report = json.loads(out)
         coupling = next(c for c in report["checks"] if c["name"] == "coupling")
         assert coupling["max_gap"] <= 1
+
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_non_positive_runs_rejected_before_any_check(self, capsys, monkeypatch, runs):
+        monkeypatch.setattr(cli, "run_coupled", _no_work)
+        monkeypatch.setattr(cli, "run", _no_work)
+        code = main(["verify", "--runs", runs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_dominance_small(self, capsys):
         code, out = run_cli(capsys, "verify", "--check", "dominance", "--runs", "40", "--seed", "13")

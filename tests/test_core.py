@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynmatch.core as core
 from conftest import ks_critical, ks_statistic
 from dynmatch.core import (
     Agent,
     AgentOutcome,
+    BlockUniforms,
     ConfigError,
     Constant,
     DomainError,
@@ -186,13 +188,38 @@ class TestCompatibilityOracle:
         hits = 0
         block = list(range(2, 102))
         for i in range(n // 100):
-            hits += int(oracle.query_block(1_000_000 + i, block).sum())
+            hits += len(oracle.query_block(1_000_000 + i, block))
         se = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 3 * se
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ConfigError):
             PairCompatibilityOracle(rng(1), 0.0)
+
+    @pytest.mark.parametrize("p", [0.05, 1.0])
+    def test_hit_offsets_equal_scalar_reference(self, p):
+        # one query larger than a block, the rest crossing block boundaries
+        sizes = [0, 1, 5, 300, 3, core._COMPAT_BLOCK + 1000, 0, 2, 4000, 7000, 17, 9000, 1]
+        assert sum(sizes) > 3 * core._COMPAT_BLOCK
+        oracle = PairCompatibilityOracle(rng(6), p)
+        reference = rng(6)
+        for k in sizes:
+            offsets = oracle.query_block(1, range(k))
+            assert offsets == np.flatnonzero(reference.random(k) < p).tolist()
+
+
+class TestBlockUniforms:
+    def test_same_values_as_scalar_draws_across_refills(self):
+        n = 3 * core._UNIFORM_BLOCK + 17
+        block, scalar = BlockUniforms(rng(5)), rng(5)
+        assert [block.random() for _ in range(n)] == [scalar.random() for _ in range(n)]
+
+    def test_samplers_accept_it_as_rng(self):
+        spec = Mixture(((0.5, Exponential(2.0)), (0.5, Uniform(0.2, 3.0))))
+        block, scalar = BlockUniforms(rng(8)), rng(8)
+        for _ in range(2 * core._UNIFORM_BLOCK):
+            assert sample_interarrival(3.0, block) == sample_interarrival(3.0, scalar)
+            assert sample_sojourn(spec, block) == sample_sojourn(spec, scalar)
 
 
 class TestAgent:

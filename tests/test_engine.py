@@ -3,6 +3,7 @@ coupled pools, and the patient-run instrumentation."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -264,6 +265,26 @@ class TestEventOrder:
             stats.total_wait.hex(),
             len(stats.pool_trajectory),
         )
+
+    # sha256 of the repr of the per-agent records (id, arrival_time.hex(),
+    # critical_time.hex(), outcome, partner_id, outcome_time.hex()) with
+    # keep_agents=True at m=200, d=3, T=10, const:1, seed 7
+    GOLDEN_AGENTS = {
+        "greedy": "4774ae01f57d82505d152c6e5ac1bac41f605afdbbd66be4b2bdff5fe0e4739c",
+        "patient": "0adbeed2630c50f2fb363ba7c6ad2bd9ff5e783241f7225ed82ab510ac6e4784",
+        "greedy-sojourn": "48485001f9176bdc0e874623a4269f673fdf46c19c6147c22b279eaf5dde0461",
+    }
+
+    @pytest.mark.parametrize("policy", sorted(GOLDEN_AGENTS))
+    def test_run_golden_agents(self, policy):
+        stats = run(config(policy=PolicyKind(policy), seed=7), keep_agents=True)
+        records = [
+            (a.id, a.arrival_time.hex(), a.critical_time.hex(), int(a.outcome), a.partner_id,
+             a.outcome_time.hex())
+            for a in stats.agents
+        ]
+        assert len(records) == stats.arrivals == 2070
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == self.GOLDEN_AGENTS[policy]
 
     @pytest.mark.parametrize("policy, departure", sorted(GOLDEN_RUN))
     def test_run_golden(self, policy, departure):
