@@ -96,6 +96,11 @@ def stationary(
     k = 0
     log_total = 0.0
     hard_cap = 5_000_000
+    # the loop stops only at some k <= hard_cap + 1 with p_up < 1/3, and p_up falls with k
+    if math.exp(_log_p_up(hard_cap + 1, log_q)) >= 1.0 / 3.0:
+        raise DomainError(
+            f"stationary chain at m={params.m}, d={params.d} needs more than {hard_cap} states"
+        )
     while True:
         # ratio rho(k+1)/rho(k) = p(k, k+1) / p(k+1, k)
         log_ratio = _log_p_up(k, log_q) - _log_p_down(k + 1, log_q)

@@ -31,12 +31,12 @@ from .core import (
     PolicyKind,
     RangeError,
     Uniform,
+    check_seed,
     departure_at_least,
     departure_cdf,
     departure_to_dict,
     mix_seed,
     parse_departure_flag,
-    support_min,
 )
 from .engine import (
     RUN_CSV_COLUMNS,
@@ -80,6 +80,7 @@ class SweepSpec:
     master_seed: int
 
     def __post_init__(self) -> None:
+        check_seed(self.master_seed)
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
         if not self.d_values:
@@ -232,7 +233,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     decay = analytics.stationary_tail_decay(params) if args.m >= 100 else None
     heur = analytics.heuristic_predictions(args.m, args.d) if args.d >= 1 else None
 
-    eps = support_min(departure)
+    eps = departure.support_min()
     gdy_upper = None
     if args.d >= 2 and math.isfinite(eps) and eps > 0:
         gdy_upper = analytics.gdy_loss_upper(args.d, eps)
@@ -446,27 +447,24 @@ def _check_timechange(runs: int, seed: int) -> dict:
     }
 
 
-VERIFY_CHECKS = ("coupling", "ruin", "urn", "dominance", "identities", "timechange")
+# name -> check(runs, seed); checks run in this order under "all"
+_VERIFY = {
+    "coupling": lambda runs, seed: _check_coupling(max(runs // 3, 1), seed),
+    "ruin": lambda runs, seed: _check_ruin(max(runs * 1000, 10_000), seed),
+    "urn": lambda runs, seed: _check_urn(seed),
+    "dominance": _check_dominance,
+    "identities": lambda runs, seed: _check_identities(seed),
+    "timechange": lambda runs, seed: _check_timechange(max(runs, 50), seed),
+}
+VERIFY_CHECKS = tuple(_VERIFY)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.runs < 1:
         raise ConfigError(f"runs must be >= 1, got {args.runs}")
+    check_seed(args.seed)
     selected = VERIFY_CHECKS if "all" in args.check else tuple(args.check)
-    results = []
-    for name in selected:
-        if name == "coupling":
-            results.append(_check_coupling(max(args.runs // 3, 1), args.seed))
-        elif name == "ruin":
-            results.append(_check_ruin(max(args.runs * 1000, 10_000), args.seed))
-        elif name == "urn":
-            results.append(_check_urn(args.seed))
-        elif name == "dominance":
-            results.append(_check_dominance(args.runs, args.seed))
-        elif name == "identities":
-            results.append(_check_identities(args.seed))
-        elif name == "timechange":
-            results.append(_check_timechange(max(args.runs, 50), args.seed))
+    results = [_VERIFY[name](args.runs, args.seed) for name in selected]
     ok = all(r["pass"] for r in results)
     json.dump({"pass": ok, "checks": results}, sys.stdout, indent=2)
     print()

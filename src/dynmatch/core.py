@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -80,6 +80,12 @@ def mix_seed(master: int, *indices: int) -> int:
     return h
 
 
+def check_seed(seed: object) -> None:
+    """Refuse a seed outside [0, 2^64), which ``mix_seed`` would silently mask."""
+    if not (isinstance(seed, int) and 0 <= seed < 1 << 64):
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 class PolicyKind(str, Enum):
     """Matching policy: match at arrival, at the last moment, or at
     arrival with preference for the partner closest to departure."""
@@ -91,28 +97,64 @@ class PolicyKind(str, Enum):
 
 # --------------------------------------------------------------------------
 # Departure (maximum-sojourn) distributions
+#
+# Each variant owns its law (``sample``, the exact masses ``cdf`` of [0, x]
+# and ``at_least`` of [x, inf], ``support_min``) and its names: ``kind`` in
+# JSON, ``flag`` in the CLI syntax.  Its fields are its parameters in both.
 
 
 @dataclass(frozen=True)
 class Constant:
+    """Point mass at ``c``; consumes no randomness."""
+
+    kind: ClassVar[str] = "constant"
+    flag: ClassVar[str] = "const"
     c: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.c) and self.c >= 0):
             raise ConfigError(f"constant sojourn must be finite and >= 0, got {self.c}")
 
+    def sample(self, rng: np.random.Generator) -> float:
+        return self.c
+
+    def cdf(self, x: float) -> float:
+        return 1.0 if x >= self.c else 0.0
+
+    def at_least(self, x: float) -> float:
+        return 1.0 if self.c >= x else 0.0
+
+    def support_min(self) -> float:
+        return self.c
+
 
 @dataclass(frozen=True)
 class Exponential:
+    kind: ClassVar[str] = "exponential"
+    flag: ClassVar[str] = "exp"
     rate: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ConfigError(f"exponential rate must be finite and > 0, got {self.rate}")
 
+    def sample(self, rng: np.random.Generator) -> float:
+        return exponential_icdf(rng.random(), self.rate)
+
+    def cdf(self, x: float) -> float:
+        return -math.expm1(-self.rate * x)
+
+    def at_least(self, x: float) -> float:
+        return math.exp(-self.rate * x)
+
+    def support_min(self) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
 class Uniform:
+    kind: ClassVar[str] = "uniform"
+    flag: ClassVar[str] = "unif"
     a: float
     b: float
 
@@ -120,14 +162,53 @@ class Uniform:
         if not (math.isfinite(self.a) and math.isfinite(self.b) and 0 <= self.a < self.b):
             raise ConfigError(f"uniform support needs 0 <= a < b, got [{self.a}, {self.b}]")
 
+    def sample(self, rng: np.random.Generator) -> float:
+        return self.a + (self.b - self.a) * rng.random()
+
+    def cdf(self, x: float) -> float:
+        if x <= self.a:
+            return 0.0
+        if x >= self.b:
+            return 1.0
+        return (x - self.a) / (self.b - self.a)
+
+    def at_least(self, x: float) -> float:
+        if x <= self.a:
+            return 1.0
+        if x >= self.b:
+            return 0.0
+        return (self.b - x) / (self.b - self.a)
+
+    def support_min(self) -> float:
+        return self.a
+
 
 @dataclass(frozen=True)
 class NeverPerish:
     """Point mass at +inf: agents never perish."""
 
+    kind: ClassVar[str] = "never"
+    flag: ClassVar[str] = "never"
+
+    def sample(self, rng: np.random.Generator) -> float:
+        return math.inf
+
+    def cdf(self, x: float) -> float:
+        return 0.0
+
+    def at_least(self, x: float) -> float:
+        return 1.0
+
+    def support_min(self) -> float:
+        return math.inf
+
 
 @dataclass(frozen=True)
 class Mixture:
+    """Weighted mixture (weights normalized); one uniform picks the component."""
+
+    kind: ClassVar[str] = "mixture"
+    flag: ClassVar[str] = "mix"
     components: tuple[tuple[float, "DepartureSpec"], ...]
 
     def __post_init__(self) -> None:
@@ -138,37 +219,34 @@ class Mixture:
             raise ConfigError(f"mixture weights must sum to a positive value, got {total}")
         if any(w <= 0 for w, _ in self.components):
             raise ConfigError("mixture weights must be positive")
-        normalized = tuple((w / total, spec) for w, spec in self.components)
-        object.__setattr__(self, "components", normalized)
+        object.__setattr__(self, "components", tuple((w / total, c) for w, c in self.components))
+
+    def sample(self, rng: np.random.Generator) -> float:
+        u = rng.random()
+        acc = 0.0
+        for w, comp in self.components:
+            acc += w
+            if u < acc:
+                return comp.sample(rng)
+        return self.components[-1][1].sample(rng)
+
+    def cdf(self, x: float) -> float:
+        return math.fsum(w * comp.cdf(x) for w, comp in self.components)
+
+    def at_least(self, x: float) -> float:
+        return math.fsum(w * comp.at_least(x) for w, comp in self.components)
+
+    def support_min(self) -> float:
+        return min(comp.support_min() for _, comp in self.components)
 
 
-DepartureSpec = Union[Constant, Exponential, Uniform, NeverPerish, Mixture]
+DEPARTURE_VARIANTS = (Constant, Exponential, Uniform, NeverPerish, Mixture)
+DepartureSpec = Union[DEPARTURE_VARIANTS]
 
 
 def sample_sojourn(spec: DepartureSpec, rng: np.random.Generator) -> float:
-    """Draw one maximum sojourn time; NeverPerish yields +inf.
-
-    Constant consumes no randomness; Exponential inverts the CDF on one
-    uniform; Uniform is an affine transform of one uniform; Mixture spends
-    one uniform on component selection, then samples the component.
-    """
-    if type(spec) is Constant:
-        return spec.c
-    if type(spec) is Exponential:
-        return exponential_icdf(rng.random(), spec.rate)
-    if type(spec) is Uniform:
-        return spec.a + (spec.b - spec.a) * rng.random()
-    if type(spec) is NeverPerish:
-        return math.inf
-    if type(spec) is Mixture:
-        u = rng.random()
-        acc = 0.0
-        for w, comp in spec.components:
-            acc += w
-            if u < acc:
-                return sample_sojourn(comp, rng)
-        return sample_sojourn(spec.components[-1][1], rng)
-    raise ConfigError(f"unknown departure spec {spec!r}")
+    """Draw one maximum sojourn time; NeverPerish yields +inf."""
+    return spec.sample(rng)
 
 
 def exponential_icdf(u: float, rate: float) -> float:
@@ -185,21 +263,7 @@ def departure_cdf(spec: DepartureSpec, x: float) -> float:
     """Mass of [0, x] under the departure distribution, exact per variant."""
     if x < 0:
         raise DomainError(f"cdf argument must be >= 0, got {x}")
-    if type(spec) is Constant:
-        return 1.0 if x >= spec.c else 0.0
-    if type(spec) is Exponential:
-        return -math.expm1(-spec.rate * x)
-    if type(spec) is Uniform:
-        if x <= spec.a:
-            return 0.0
-        if x >= spec.b:
-            return 1.0
-        return (x - spec.a) / (spec.b - spec.a)
-    if type(spec) is NeverPerish:
-        return 0.0
-    if type(spec) is Mixture:
-        return math.fsum(w * departure_cdf(comp, x) for w, comp in spec.components)
-    raise ConfigError(f"unknown departure spec {spec!r}")
+    return spec.cdf(x)
 
 
 def departure_at_least(spec: DepartureSpec, x: float) -> float:
@@ -207,65 +271,14 @@ def departure_at_least(spec: DepartureSpec, x: float) -> float:
     (a point mass at x included; NeverPerish puts all its mass at +inf)."""
     if x < 0:
         raise DomainError(f"tail argument must be >= 0, got {x}")
-    if type(spec) is Constant:
-        return 1.0 if spec.c >= x else 0.0
-    if type(spec) is Exponential:
-        return math.exp(-spec.rate * x)
-    if type(spec) is Uniform:
-        if x <= spec.a:
-            return 1.0
-        if x >= spec.b:
-            return 0.0
-        return (spec.b - x) / (spec.b - spec.a)
-    if type(spec) is NeverPerish:
-        return 1.0
-    if type(spec) is Mixture:
-        return math.fsum(w * departure_at_least(comp, x) for w, comp in spec.components)
-    raise ConfigError(f"unknown departure spec {spec!r}")
-
-
-def support_min(spec: DepartureSpec) -> float:
-    """Left endpoint of the support (inf for NeverPerish)."""
-    if type(spec) is Constant:
-        return spec.c
-    if type(spec) is Exponential:
-        return 0.0
-    if type(spec) is Uniform:
-        return spec.a
-    if type(spec) is NeverPerish:
-        return math.inf
-    if type(spec) is Mixture:
-        return min(support_min(comp) for _, comp in spec.components)
-    raise ConfigError(f"unknown departure spec {spec!r}")
-
-
-def departure_kind(spec: DepartureSpec) -> str:
-    return {
-        Constant: "constant",
-        Exponential: "exponential",
-        Uniform: "uniform",
-        NeverPerish: "never",
-        Mixture: "mixture",
-    }[type(spec)]
+    return spec.at_least(x)
 
 
 def departure_to_dict(spec: DepartureSpec) -> dict:
-    if type(spec) is Constant:
-        return {"kind": "constant", "c": spec.c}
-    if type(spec) is Exponential:
-        return {"kind": "exponential", "rate": spec.rate}
-    if type(spec) is Uniform:
-        return {"kind": "uniform", "a": spec.a, "b": spec.b}
-    if type(spec) is NeverPerish:
-        return {"kind": "never"}
-    if type(spec) is Mixture:
-        return {
-            "kind": "mixture",
-            "components": [
-                {"weight": w, "spec": departure_to_dict(comp)} for w, comp in spec.components
-            ],
-        }
-    raise ConfigError(f"unknown departure spec {spec!r}")
+    if isinstance(spec, Mixture):
+        comps = [{"weight": w, "spec": departure_to_dict(c)} for w, c in spec.components]
+        return {"kind": spec.kind, "components": comps}
+    return {"kind": spec.kind, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
 
 
 def _number(data: dict, key: str) -> float:
@@ -281,25 +294,17 @@ def departure_from_dict(data: dict) -> DepartureSpec:
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ConfigError(f"departure object needs a 'kind' key, got {data!r}") from None
+    variant = next((v for v in DEPARTURE_VARIANTS if v.kind == kind), None)
+    if variant is None:
+        raise ConfigError(f"unknown departure kind {kind!r}")
     try:
-        if kind == "constant":
-            return Constant(_number(data, "c"))
-        if kind == "exponential":
-            return Exponential(_number(data, "rate"))
-        if kind == "uniform":
-            return Uniform(_number(data, "a"), _number(data, "b"))
-        if kind == "never":
-            return NeverPerish()
-        if kind == "mixture":
-            return Mixture(
-                tuple(
-                    (_number(entry, "weight"), departure_from_dict(entry["spec"]))
-                    for entry in data["components"]
-                )
-            )
+        if variant is Mixture:
+            comps = [(_number(e, "weight"), departure_from_dict(e["spec"]))
+                     for e in data["components"]]
+            return Mixture(tuple(comps))
+        return variant(*(_number(data, f.name) for f in fields(variant)))
     except (TypeError, KeyError, ValueError) as exc:
         raise ConfigError(f"malformed departure object {data!r}: {exc}") from None
-    raise ConfigError(f"unknown departure kind {kind!r}")
 
 
 def parse_departure_flag(text: str) -> DepartureSpec:
@@ -309,27 +314,25 @@ def parse_departure_flag(text: str) -> DepartureSpec:
     ``never``, and ``mix:<w>*<inner>,<w>*<inner>,...`` (inner specs must
     not themselves be mixtures; use JSON configs for nesting).
     """
+    prefix, sep, rest = text.partition(":")
+    variant = next((v for v in DEPARTURE_VARIANTS if v.flag == prefix), None)
+    if variant is None:
+        raise FormatError(f"cannot parse departure flag {text!r}")
     try:
-        if text == "never":
-            return NeverPerish()
-        if text.startswith("const:"):
-            return Constant(float(text[6:]))
-        if text.startswith("exp:"):
-            return Exponential(float(text[4:]))
-        if text.startswith("unif:"):
-            a, b = text[5:].split(":")
-            return Uniform(float(a), float(b))
-        if text.startswith("mix:"):
+        if variant is Mixture:
             comps = []
-            for part in text[4:].split(","):
+            for part in rest.split(","):
                 weight, inner = part.split("*", 1)
                 if inner.startswith("mix:"):
                     raise FormatError("nested mixtures are not supported in flag syntax")
                 comps.append((float(weight), parse_departure_flag(inner)))
             return Mixture(tuple(comps))
-    except (ValueError, IndexError) as exc:
+        values = rest.split(":") if sep else []
+        if len(values) != len(fields(variant)):
+            raise FormatError(f"{prefix!r} takes {len(fields(variant))} number(s), got {len(values)}")
+        return variant(*map(float, values))
+    except ValueError as exc:
         raise FormatError(f"cannot parse departure flag {text!r}: {exc}") from None
-    raise FormatError(f"cannot parse departure flag {text!r}")
 
 
 # --------------------------------------------------------------------------
@@ -354,13 +357,6 @@ class Agent:
     outcome: int = AgentOutcome.UNRESOLVED
     partner_id: int | None = None
     outcome_time: float | None = None
-
-    def resolve(self, outcome: int, time: float, partner_id: int | None = None) -> None:
-        if self.outcome != AgentOutcome.UNRESOLVED:
-            raise NumericError(f"agent {self.id} resolved twice")
-        self.outcome = outcome
-        self.outcome_time = time
-        self.partner_id = partner_id
 
 
 # Uniforms per block of a drawn stream; private, they change no output bit.
@@ -463,23 +459,15 @@ class MarketConfig:
             )
         if not isinstance(self.policy, PolicyKind):
             raise ConfigError(f"policy must be a PolicyKind, got {self.policy!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 1 << 64):
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_seed(self.seed)
 
     @property
     def p(self) -> float:
         return self.d / self.m
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "d": self.d,
-            "T": self.T,
-            "policy": self.policy.value,
-            "departure": departure_to_dict(self.departure),
-            "seed": self.seed,
-            "pool_trace": self.pool_trace,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return data | {"policy": self.policy.value, "departure": departure_to_dict(self.departure)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MarketConfig":

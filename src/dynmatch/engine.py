@@ -36,9 +36,7 @@ from .core import (
     PolicyKind,
     RangeError,
     RngStreams,
-    departure_kind,
     sample_interarrival,
-    sample_sojourn,
 )
 
 # One CSV row per run; fixed schema, versioned in the file header.
@@ -230,6 +228,7 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     patient = config.policy is PolicyKind.PATIENT
     by_sojourn = config.policy is PolicyKind.GREEDY_SOJOURN
     departure = config.departure
+    draw_sojourn = departure.sample
 
     # per-agent state, indexed by id (slot 0 unused)
     arrival = array("d", [0.0])
@@ -255,7 +254,7 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
         if arriving:
             n += 1
             aid = n
-            s = sample_sojourn(departure, sojourns)
+            s = draw_sojourn(sojourns)
             arrival.append(t)
             sojourn.append(s)
             outcome.append(AgentOutcome.UNRESOLVED)
@@ -329,7 +328,7 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
                   partner[i] or None, outcome_time[i])
             for i in range(1, n + 1)
         ]
-    return ledger.stats(config, departure_kind(departure), n - first + 1, pool_at_T, warm, agents)
+    return ledger.stats(config, departure.kind, n - first + 1, pool_at_T, warm, agents)
 
 
 def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
@@ -354,6 +353,7 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
     query = PairCompatibilityOracle(streams.compatibility, config.p).query_block
     m, T = config.m, config.T
     departure = config.departure
+    draw_sojourn = departure.sample
 
     arrival = array("d", [0.0])  # indexed by id (slot 0 unused)
     matched = bytearray(1)  # matched in the perishing pool
@@ -378,7 +378,7 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
 
         if arriving:
             n += 1
-            s = sample_sojourn(departure, sojourns)
+            s = draw_sojourn(sojourns)
             arrival.append(t)
             matched.append(0)
             next_arrival = t + sample_interarrival(m, gaps)
@@ -419,7 +419,7 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
             side.agent_wait.add(T - arrival[aid])
 
     return (
-        perishing.stats(config, departure_kind(departure), n, len(perishing.ids)),
+        perishing.stats(config, departure.kind, n, len(perishing.ids)),
         never.stats(config, "never", n, len(never.ids)),
         max_gap,
     )

@@ -76,10 +76,11 @@ def ruin_hit_probability(spec: WalkSpec) -> RuinResult:
 
 
 def ruin_hit_monte_carlo(spec: WalkSpec, trials: int, rng: np.random.Generator) -> float:
-    """Empirical hit frequency from vectorized walk simulation."""
+    """Empirical hit frequency from vectorized walk simulation; a walk that
+    starts at N has already hit it and takes no step."""
     position = np.full(trials, spec.start, dtype=np.int64)
-    hit = np.zeros(trials, dtype=bool)
-    active = np.ones(trials, dtype=bool)
+    hit = position >= spec.N
+    active = ~hit
     while active.any():
         idx = np.flatnonzero(active)
         steps = np.where(rng.random(idx.size) < spec.p_up, 1, -1)
@@ -188,11 +189,6 @@ def urn_half_exceedance_bound(spec: UrnSpec, m: float) -> UrnBoundCheck:
         preconditions_hold=preconds,
         satisfied=satisfied,
     )
-
-
-def urn_sample(spec: UrnSpec, rng: np.random.Generator) -> int:
-    """One red count: ``urn_sample_many`` with n = 1."""
-    return int(urn_sample_many(spec, 1, rng)[0])
 
 
 def urn_sample_many(spec: UrnSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -66,6 +66,11 @@ class TestStationary:
         with pytest.raises(DomainError):
             stationary(ChainParams(10.0, 1.0), tail_tol=0.0)
 
+    def test_chain_beyond_the_hard_cap_rejected_up_front(self):
+        # p_up stays >= 1/3 for the first 5.49e6 sizes, so no truncation fits
+        with pytest.raises(DomainError, match="more than 5000000 states"):
+            stationary(ChainParams(5e6, 1.0))
+
     def test_density_within_rounding_of_rate(self):
         # p_up underflows immediately; the tail certificate must not choke
         dist = stationary(ChainParams(1.0, 1.0 - 1e-13))

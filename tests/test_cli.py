@@ -227,6 +227,18 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", ["-5", str(1 << 64)])
+    def test_out_of_range_seed_rejected_before_any_run(self, capsys, tmp_path, monkeypatch, seed):
+        monkeypatch.setattr(cli, "run", _no_work)
+        code = main([
+            "sweep",
+            "--m", "50", "--T", "2", "--d-list", "2", "--reps", "1",
+            "--out", str(tmp_path / "out"), "--seed", seed,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: seed must be")
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_output_exit_code(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -278,6 +290,13 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_chain_beyond_the_hard_cap_rejected(self, capsys):
+        code = main(["analyze", "--m", "5e6", "--d", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: stationary chain")
+
     def test_far_constant_departure_certifies_waiting_lower_bound(self, capsys):
         # the atom at c = 20000 is found exactly, not by a probe below c
         code, out = run_cli(capsys, "analyze", "--m", "1000", "--d", "5", "--departure", "const:20000")
@@ -319,6 +338,17 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("check", ["all", "ruin", "urn"])
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_out_of_range_seed_rejected_before_any_check(self, capsys, monkeypatch, check, seed):
+        monkeypatch.setattr(cli, "run_coupled", _no_work)
+        monkeypatch.setattr(cli, "run", _no_work)
+        code = main(["verify", "--check", check, "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed must be")
 
     def test_dominance_small(self, capsys):
         code, out = run_cli(capsys, "verify", "--check", "dominance", "--runs", "40", "--seed", "13")

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 import dynmatch.core as core
 from conftest import ks_critical, ks_statistic
 from dynmatch.core import (
-    Agent,
-    AgentOutcome,
+    DEPARTURE_VARIANTS,
     BlockUniforms,
     ConfigError,
     Constant,
@@ -24,7 +23,6 @@ from dynmatch.core import (
     MarketConfig,
     Mixture,
     NeverPerish,
-    NumericError,
     PairCompatibilityOracle,
     PolicyKind,
     RngStreams,
@@ -38,7 +36,6 @@ from dynmatch.core import (
     parse_departure_flag,
     sample_interarrival,
     sample_sojourn,
-    support_min,
 )
 
 
@@ -80,12 +77,16 @@ class TestDepartureSpecs:
         with pytest.raises(ConfigError):
             bad()
 
+    def test_each_variant_has_its_own_names(self):
+        assert len({v.kind for v in DEPARTURE_VARIANTS}) == len(DEPARTURE_VARIANTS)
+        assert len({v.flag for v in DEPARTURE_VARIANTS}) == len(DEPARTURE_VARIANTS)
+
     def test_support_min(self):
-        assert support_min(Constant(2.0)) == 2.0
-        assert support_min(Exponential(1.0)) == 0.0
-        assert support_min(Uniform(0.5, 1.5)) == 0.5
-        assert support_min(NeverPerish()) == math.inf
-        assert support_min(Mixture(((0.5, Constant(1.0)), (0.5, Uniform(0.25, 2.0))))) == 0.25
+        assert Constant(2.0).support_min() == 2.0
+        assert Exponential(1.0).support_min() == 0.0
+        assert Uniform(0.5, 1.5).support_min() == 0.5
+        assert NeverPerish().support_min() == math.inf
+        assert Mixture(((0.5, Constant(1.0)), (0.5, Uniform(0.25, 2.0)))).support_min() == 0.25
 
 
 class TestDepartureCdf:
@@ -222,14 +223,6 @@ class TestBlockUniforms:
             assert sample_sojourn(spec, block) == sample_sojourn(spec, scalar)
 
 
-class TestAgent:
-    def test_second_resolution_raises(self):
-        agent = Agent(1, 0.0, 1.0, 1.0)
-        agent.resolve(AgentOutcome.PERISHED, 1.0)
-        with pytest.raises(NumericError, match="resolved twice"):
-            agent.resolve(AgentOutcome.MATCHED, 1.0, 2)
-
-
 class TestSeeding:
     def test_same_seed_reproduces_sequences(self):
         a, b = RngStreams.from_seed(99), RngStreams.from_seed(99)
@@ -287,9 +280,29 @@ class TestMarketConfig:
         for spec in (Constant(2.0), Exponential(0.5), Uniform(1.0, 4.0), NeverPerish()):
             assert departure_from_dict(departure_to_dict(spec)) == spec
 
+    def test_departure_dict_key_order(self):
+        assert list(departure_to_dict(Uniform(1.0, 4.0))) == ["kind", "a", "b"]
+        assert list(departure_to_dict(Mixture(((1.0, NeverPerish()),)))) == ["kind", "components"]
+        assert list(self.good().to_dict()) == ["m", "d", "T", "policy", "departure", "seed", "pool_trace"]
+
     def test_malformed_departure_dict_rejected(self):
         with pytest.raises(ConfigError):
             departure_from_dict({"kind": "gamma", "shape": 1.0})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": ["constant"]},
+            {"kind": "uniform", "a": 1.0},
+            {"kind": "constant", "c": None},
+            {"kind": "exponential", "rate": True},
+            {"kind": "mixture", "components": [{"weight": 1.0}]},
+            [],
+        ],
+    )
+    def test_wrong_or_missing_fields_rejected(self, data):
+        with pytest.raises(ConfigError):
+            departure_from_dict(data)
 
 
 class TestDepartureFlagSyntax:
@@ -306,7 +319,11 @@ class TestDepartureFlagSyntax:
     def test_accepted_forms(self, text, expected):
         assert parse_departure_flag(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "gamma:1", "const:", "unif:1", "mix:const:1"])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "gamma:1", "const:", "unif:1", "mix:const:1",
+         "const", "const:1:2", "unif:1:2:3", "never:", "never:1", "mix", "mix:1*mix:1*never"],
+    )
     def test_rejected_forms(self, text):
         with pytest.raises(FormatError):
             parse_departure_flag(text)

@@ -21,7 +21,6 @@ from dynmatch.oracles import (
     urn_exceedance,
     urn_half_exceedance_bound,
     urn_pmf,
-    urn_sample,
     urn_sample_many,
 )
 
@@ -53,6 +52,11 @@ class TestRuin:
         emp = ruin_hit_monte_carlo(spec, trials, rng(5))
         se = math.sqrt(exact * (1 - exact) / trials)
         assert abs(emp - exact) <= 3 * se
+
+    def test_monte_carlo_counts_a_start_at_the_target_as_a_hit(self):
+        spec = WalkSpec(p_up=0.4, M=1, N=3, start=3)
+        assert ruin_hit_probability(spec).exact == 1.0
+        assert ruin_hit_monte_carlo(spec, 1000, rng(5)) == 1.0
 
     def test_no_overflow_for_long_intervals(self):
         result = ruin_hit_probability(WalkSpec(p_up=0.3, M=0, N=500, start=0))
@@ -163,7 +167,7 @@ class TestUrnBound:
 
 class TestUrnSampling:
     def test_exhaustive_draw_takes_all_red(self):
-        assert urn_sample(UrnSpec(3, 4, 7), rng(1)) == 3
+        assert urn_sample_many(UrnSpec(3, 4, 7), 1, rng(1))[0] == 3
 
     def test_sample_mean_matches_hypergeometric(self):
         samples = urn_sample_many(UrnSpec(40, 60, 50), 100_000, rng(9))
@@ -178,11 +182,6 @@ class TestUrnSampling:
         se = math.sqrt(exact * (1 - exact) / n)
         assert abs(emp - exact) <= 3 * se
 
-    def test_scalar_and_batch_agree_in_distribution(self):
-        spec = UrnSpec(5, 5, 4)
-        scalar = np.array([urn_sample(spec, rng(100 + i)) for i in range(2000)])
-        batch = urn_sample_many(spec, 2000, rng(7))
-        assert abs(scalar.mean() - batch.mean()) < 0.15
 
 
 class TestDominance:
@@ -202,7 +201,7 @@ class TestDominance:
         records = []
         for _ in range(300):
             k1, k2, k3, l = 30, 35, 35, 40
-            K1 = int(urn_sample(UrnSpec(k1, k2 + k3, l), g))
+            K1 = int(urn_sample_many(UrnSpec(k1, k2 + k3, l), 1, g)[0])
             records.append((k1, k2, k3, l, K1))
         report = dominance_check(records)
         assert report.passed
