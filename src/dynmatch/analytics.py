@@ -64,24 +64,15 @@ class StationaryDistribution:
         return int(np.searchsorted(np.cumsum(self.probs), q))
 
 
-def _log_p_up(k: int, log_q: float) -> float:
-    return k * log_q
-
-
-def _log_p_down(k: int, log_q: float) -> float:
-    # log(1 - q^k), stable for q^k near 0 and near 1
-    return math.log(-math.expm1(k * log_q))
-
-
 def stationary(
     params: ChainParams, tail_tol: float = 1e-12, min_K: int | None = None
 ) -> StationaryDistribution:
     """Stationary distribution by detailed balance, in log space.
 
-    The truncation K is extended until the certified geometric tail (the
-    balance ratio drops below 1/2 once p_up < 1/3, and keeps decreasing)
-    is below ``tail_tol`` relative to the total mass, and past ``min_K``
-    when given.
+    K is the first size, from the first one with p_up < 1/3 and from
+    ``min_K``, whose certified geometric tail is below ``tail_tol`` relative
+    to the total mass.  Past p_up < 1/3 every balance ratio is below 1/2, so
+    K is at most ceil(-log2(tail_tol)) + 1 sizes past that start.
     """
     if not 0 < tail_tol < 1:
         raise DomainError(f"tail_tol must be in (0, 1), got {tail_tol}")
@@ -92,45 +83,42 @@ def stationary(
         return StationaryDistribution(params, probs, np.log(probs), 1, 0.0)
 
     log_q = math.log1p(-params.d / params.m)
-    logs = [0.0]
-    k = 0
-    log_total = 0.0
     hard_cap = 5_000_000
-    # the loop stops only at some k <= hard_cap + 1 with p_up < 1/3, and p_up falls with k
-    if math.exp(_log_p_up(hard_cap + 1, log_q)) >= 1.0 / 3.0:
+    # k0, the first size with p_up = q^k < 1/3, walked up to from just below
+    # log(3)/-log(q); that start is past the cap anyway when -log(q) <= 1e-7
+    k0 = max(int(math.log(3.0) / -log_q) - 1, 1) if log_q < -1e-7 else hard_cap + 1
+    while k0 <= hard_cap + 1 and math.exp(k0 * log_q) >= 1.0 / 3.0:
+        k0 += 1
+    start = max(k0, min_K or 0)
+    if start > hard_cap + 1:
         raise DomainError(
             f"stationary chain at m={params.m}, d={params.d} needs more than {hard_cap} states"
         )
-    while True:
-        # ratio rho(k+1)/rho(k) = p(k, k+1) / p(k+1, k)
-        log_ratio = _log_p_up(k, log_q) - _log_p_down(k + 1, log_q)
-        logs.append(logs[-1] + log_ratio)
-        k += 1
-        log_total = float(np.logaddexp(log_total, logs[-1]))
-        p_up = math.exp(_log_p_up(k, log_q))
-        if p_up < 1.0 / 3.0 and (min_K is None or k >= min_K):
-            r = math.exp(_log_p_up(k, log_q) - _log_p_down(k + 1, log_q))
-            log_tail = (
-                logs[-1] + math.log(r) - math.log1p(-r) if r > 0.0 else -math.inf
-            )
-            if log_tail - log_total <= math.log(tail_tol):
-                break
-        if k > hard_cap:
-            raise NumericError("stationary truncation exceeded the hard cap")
+    stop = start + math.ceil(-math.log2(tail_tol)) + 1
+    # log of rho(k+1)/rho(k) = p(k, k+1) / p(k+1, k); log(1 - q^(k+1)) is stable near 0 and 1
+    log_ratios = np.fromiter(
+        (k * log_q - math.log(-math.expm1((k + 1) * log_q)) for k in range(stop + 1)),
+        float,
+        stop + 1,
+    )
+    logs = np.zeros(stop + 1)
+    np.cumsum(log_ratios[:-1], out=logs[1:])
+    log_totals = np.logaddexp.accumulate(logs)
+    for k in range(start, stop + 1):
+        r = math.exp(log_ratios[k])
+        log_tail = logs[k] + math.log(r) - math.log1p(-r) if r > 0.0 else -math.inf
+        if log_tail - log_totals[k] <= math.log(tail_tol):
+            break
+    else:
+        raise NumericError(f"stationary tail missed its bound at m={params.m}, d={params.d}")
 
-    log_arr = np.array(logs)
+    log_arr = logs[: k + 1]
     peak = float(log_arr.max())
     log_Z = peak + math.log(np.exp(log_arr - peak).sum() + math.exp(log_tail - peak))
     if not math.isfinite(log_Z):
         raise NumericError("stationary normalization is not finite")
     log_probs = log_arr - log_Z
-    return StationaryDistribution(
-        params=params,
-        probs=np.exp(log_probs),
-        log_probs=log_probs,
-        truncation_K=k,
-        tail_bound=math.exp(log_tail - log_Z),
-    )
+    return StationaryDistribution(params, np.exp(log_probs), log_probs, k, math.exp(log_tail - log_Z))
 
 
 def stationary_mean(dist: StationaryDistribution) -> float:
@@ -180,7 +168,7 @@ class TailDecayReport:
     passed: bool
 
 
-def stationary_tail_decay(params: ChainParams, tail_tol: float = 1e-12) -> TailDecayReport:
+def stationary_tail_decay(params: ChainParams) -> TailDecayReport:
     """Check the per-step tail decay of the stationary distribution.
 
     Beyond pool size c1*log(2)*m/d every balance ratio must fall below
@@ -191,7 +179,7 @@ def stationary_tail_decay(params: ChainParams, tail_tol: float = 1e-12) -> TailD
     consts = bound_constants(m, d)
     threshold = math.ceil(consts.c1 * math.log(2) * m / d)
     extended = consts.c1 * math.log(2) * m / d + 1.5 * math.log(m) ** 2
-    dist = stationary(params, tail_tol=tail_tol, min_K=int(extended) + 10)
+    dist = stationary(params, min_K=int(extended) + 10)
     ratios = np.exp(np.diff(dist.log_probs[threshold:]))
     max_ratio = float(ratios.max()) if ratios.size else 0.0
     decay_bound = math.exp(-10.0 / math.log(m))

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
+import os
 import sys
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,6 +31,7 @@ from .core import (
     FormatError,
     MarketConfig,
     NeverPerish,
+    NumericError,
     PolicyKind,
     RangeError,
     Uniform,
@@ -101,20 +105,29 @@ class SweepSpec:
         )
 
 
+def _run_cell(cell: tuple[int, int, MarketConfig]) -> RunStats:
+    """Run one sweep cell; a numeric or configuration failure names its cell."""
+    d_index, rep, config = cell
+    try:
+        return run(config)
+    except (NumericError, ConfigError) as exc:
+        cell_name = f"d_index={d_index} d={config.d} rep={rep} seed={config.seed}"
+        raise type(exc)(f"sweep cell {cell_name}: {exc}") from exc
+
+
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RunStats]:
     """Run all (d, replication) cells; rows come back in cell order
     regardless of execution order or parallelism."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    configs = [
-        spec.cell_config(i, rep)
+    cells = [
+        (i, rep, spec.cell_config(i, rep))
         for i in range(len(spec.d_values))
         for rep in range(spec.replications)
     ]
-    if jobs <= 1:
-        return [run(cfg) for cfg in configs]
+    if jobs == 1:
+        return [_run_cell(cell) for cell in cells]
+    # the executor rejects jobs < 1 before any cell runs
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, configs, chunksize=4))
+        return list(pool.map(_run_cell, cells, chunksize=4))
 
 
 def summarize(rows: list[RunStats]) -> list[dict]:
@@ -144,30 +157,27 @@ def summarize(rows: list[RunStats]) -> list[dict]:
     return out
 
 
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a schema-tagged CSV whole or not at all: the rows go to a temp
+    file beside ``path``, which replaces ``path`` once complete."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "w", newline="")  # no temp file to remove if this fails
+    try:
+        with fh:
+            fh.write(CSV_SCHEMA_HEADER + "\n")
+            csv.writer(fh).writerows(itertools.chain([header], rows))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
+
+
 def write_raw_csv(rows: list[RunStats], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_SCHEMA_HEADER + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(RUN_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(row.csv_row())
+    _write_csv(path, RUN_CSV_COLUMNS, (row.csv_row() for row in rows))
 
 
 def write_summary_csv(summary: list[dict], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_SCHEMA_HEADER + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_CSV_COLUMNS)
-        for row in summary:
-            writer.writerow([row[col] for col in SUMMARY_CSV_COLUMNS])
-
-
-def write_trace_csv(trajectory: list[tuple[float, int]], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_SCHEMA_HEADER + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(("time", "size"))
-        writer.writerows(trajectory)
+    _write_csv(path, SUMMARY_CSV_COLUMNS, ([r[c] for c in SUMMARY_CSV_COLUMNS] for r in summary))
 
 
 # --------------------------------------------------------------------------
@@ -200,7 +210,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = replace(config, pool_trace=True)
     stats = run(config, burn_in=args.burn_in)
     if args.trace_out:
-        write_trace_csv(stats.pool_trajectory, Path(args.trace_out))
+        _write_csv(Path(args.trace_out), ("time", "size"), stats.pool_trajectory)
     json.dump(stats.to_json_dict(), sys.stdout, indent=2)
     print()
     return 0
@@ -216,9 +226,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         replications=args.reps,
         master_seed=args.seed,
     )
-    rows = run_sweep(spec, jobs=args.jobs)
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    rows = run_sweep(spec, jobs=args.jobs)
     write_raw_csv(rows, out / "raw.csv")
     write_summary_csv(summarize(rows), out / "summary.csv")
     print(f"wrote {out / 'raw.csv'} and {out / 'summary.csv'}")
@@ -228,9 +240,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     departure = parse_departure_flag(args.departure)
     params = analytics.ChainParams(m=args.m, d=args.d)
-    dist = analytics.stationary(params, tail_tol=args.tail_tol)
     consts = analytics.bound_constants(args.m, args.d)
-    decay = analytics.stationary_tail_decay(params) if args.m >= 100 else None
     heur = analytics.heuristic_predictions(args.m, args.d) if args.d >= 1 else None
 
     eps = departure.support_min()
@@ -243,6 +253,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     pat_upper = analytics.pat_loss_upper(args.d) if departure == Constant(1.0) else None
     mass = departure_at_least(departure, eps)
     wait_lower, wait_upper = analytics.waiting_bounds(args.m, args.T, args.d, eps, mass)
+    # the chains come last; the tail-decay chain is the longer, so an over-long chain fails at once
+    decay = analytics.stationary_tail_decay(params) if args.m >= 100 else None
+    dist = analytics.stationary(params, tail_tol=args.tail_tol)
 
     report = {
         "m": args.m,
@@ -283,13 +296,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "per_agent_lower": None if wait_lower is None else wait_lower / (args.m * args.T),
             "per_agent_upper": wait_upper / (args.m * args.T),
         },
-        "heuristic": None
-        if heur is None
-        else {
-            "pool_gdy": heur.pool_gdy,
-            "pool_pat": heur.pool_pat,
-            "loss_both": heur.loss_both,
-        },
+        "heuristic": None if heur is None else heur._asdict(),
     }
     json.dump(report, sys.stdout, indent=2)
     print()

@@ -36,6 +36,32 @@ def dense_stationary_solve(params: ChainParams, K: int) -> np.ndarray:
     return pi
 
 
+def stationary_by_steps(
+    params: ChainParams, tail_tol: float, min_K: int | None
+) -> tuple[int, float, np.ndarray]:
+    """(K, tail_bound, log_probs) of analytics.stationary by its original
+    size-by-size recursion, with the same float operations in the same
+    order, for a chain with d < m that fits under the hard cap."""
+    log_q = math.log1p(-params.d / params.m)
+    logs = [0.0]
+    k = 0
+    log_total = 0.0
+    while True:
+        log_ratio = k * log_q - math.log(-math.expm1((k + 1) * log_q))
+        logs.append(logs[-1] + log_ratio)
+        k += 1
+        log_total = float(np.logaddexp(log_total, logs[-1]))
+        if math.exp(k * log_q) < 1.0 / 3.0 and (min_K is None or k >= min_K):
+            r = math.exp(k * log_q - math.log(-math.expm1((k + 1) * log_q)))
+            log_tail = logs[-1] + math.log(r) - math.log1p(-r) if r > 0.0 else -math.inf
+            if log_tail - log_total <= math.log(tail_tol):
+                break
+    log_arr = np.array(logs)
+    peak = float(log_arr.max())
+    log_Z = peak + math.log(np.exp(log_arr - peak).sum() + math.exp(log_tail - peak))
+    return k, math.exp(log_tail - log_Z), log_arr - log_Z
+
+
 def ks_statistic(samples: np.ndarray, cdf, tol: float = 1e-9) -> float:
     """Two-sided KS distance of samples against a CDF, valid for laws with
     atoms: compares the empirical CDF just before and at each distinct

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_stationary_solve
+from conftest import dense_stationary_solve, stationary_by_steps
 from dynmatch.analytics import (
     ChainParams,
     DomainError,
@@ -70,6 +71,60 @@ class TestStationary:
         # p_up stays >= 1/3 for the first 5.49e6 sizes, so no truncation fits
         with pytest.raises(DomainError, match="more than 5000000 states"):
             stationary(ChainParams(5e6, 1.0))
+
+    def test_min_K_beyond_the_hard_cap_rejected_up_front(self):
+        # p_up < 1/3 from k0 = 4.39e6, inside the cap, but min_K starts past it
+        with pytest.raises(DomainError, match="more than 5000000 states"):
+            stationary(ChainParams(4e6, 1.0), min_K=6_000_000)
+
+    # (m, d, tail_tol, min_K) -> truncation_K, tail_bound.hex(), sha256 of
+    # log_probs.tobytes(); taken from the size-by-size recursion it replaced
+    GOLDEN = [
+        (1e6, 5.0, 1e-12, None, 219722, "0x0.0p+0",
+         "55c28aa031f16ab5efcc2d7b68c0c008b6229490fd71f693f92ec671f6ff374a"),
+        (1e3, 5.0, 1e-12, None, 220, "0x1.285506f1b2c51p-48",
+         "f52f9b50f55a5f51e01ff3eae9305d87d3c1da27c65c66148a8de946cb523426"),
+        (1e3, 5.0, 1e-3, None, 220, "0x1.285506f1b2c51p-48",
+         "f52f9b50f55a5f51e01ff3eae9305d87d3c1da27c65c66148a8de946cb523426"),
+        (1e3, 5.0, 1e-12, 300, 300, "0x1.93bb179d770d9p-163",
+         "b66c180d12bb4cc21713b10889e8ec946e71e3362f8a31e4690a40510ecced47"),
+        (1e3, 1e3, 1e-12, None, 1, "0x0.0p+0",
+         "693a74bb8bcc67b1697a86d996f1c592290f2c3a080d5f613232f0bef6169b37"),
+        (1e3, 1e3, 1e-3, 300, 1, "0x0.0p+0",
+         "693a74bb8bcc67b1697a86d996f1c592290f2c3a080d5f613232f0bef6169b37"),
+        (1e3, math.nextafter(1e3, 0.0), 1e-12, None, 1, "0x1.ffffffffffff5p-55",
+         "0756500f65247181da86fc1581575802decc3e84fe2d5082dfc2062b75cf0f00"),
+        (1e3, math.nextafter(1e3, 0.0), 1e-3, 300, 300, "0x0.0p+0",
+         "20b13301aecbcb2f75edc53c1fc3f09ec867e1006c3ac788b7280e71d6db9d6b"),
+        (20.0, 2.0, 1e-3, 300, 300, "0x0.0p+0",
+         "8c18cc9967626b3f4f899df33ba09270562c36273959f2efe9fb79628d4db329"),
+        (10.0, 1.0, 1e-3, None, 14, "0x1.6d7e2f92b7125p-11",
+         "fb8267d977eee8b2c3b0fbbe99def08ab867dafc12fc7dc3cdd019ca5ed2c125"),
+        (10.0, 1.0, 1e-12, None, 25, "0x1.95297afc4f166p-43",
+         "c540b345fa83b0f88a1204fe7461363fc6d808b370397cd28a8f8eb015128a4d"),
+    ]
+
+    @given(
+        st.floats(min_value=1.5, max_value=3000.0),
+        st.floats(min_value=1e-3, max_value=1.0),
+        st.sampled_from([1e-300, 1e-50, 1e-12, 1e-3, 0.5]),
+        st.sampled_from([None, 0, 5, 300]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_the_step_recursion(self, m, fraction, tail_tol, min_K):
+        params = ChainParams(m, min(fraction * m, math.nextafter(m, 0.0)))
+        K, tail_bound, log_probs = stationary_by_steps(params, tail_tol, min_K)
+        dist = stationary(params, tail_tol=tail_tol, min_K=min_K)
+        assert dist.truncation_K == K
+        assert dist.tail_bound.hex() == tail_bound.hex()
+        assert dist.log_probs.tobytes() == log_probs.tobytes()
+
+    @pytest.mark.parametrize("m,d,tail_tol,min_K,K,tail_hex,digest", GOLDEN)
+    def test_golden_outputs(self, m, d, tail_tol, min_K, K, tail_hex, digest):
+        dist = stationary(ChainParams(m, d), tail_tol=tail_tol, min_K=min_K)
+        assert dist.truncation_K == K
+        assert dist.tail_bound.hex() == tail_hex
+        assert hashlib.sha256(dist.log_probs.tobytes()).hexdigest() == digest
 
     def test_density_within_rounding_of_rate(self):
         # p_up underflows immediately; the tail certificate must not choke

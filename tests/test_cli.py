@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from dynmatch import cli
+from dynmatch import analytics, cli
 from dynmatch.cli import (
     SweepSpec,
     main,
@@ -18,7 +18,7 @@ from dynmatch.cli import (
     write_raw_csv,
     write_summary_csv,
 )
-from dynmatch.core import ConfigError, Constant, PolicyKind
+from dynmatch.core import ConfigError, Constant, NumericError, PolicyKind, mix_seed
 
 
 def _no_work(*args, **kwargs):
@@ -239,16 +239,45 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: seed must be")
         assert not (tmp_path / "out").exists()
 
-    def test_unwritable_output_exit_code(self, capsys, tmp_path):
+    @pytest.mark.parametrize("error", [NumericError, ConfigError])
+    def test_failing_cell_names_its_cell(self, monkeypatch, error):
+        failing_seed = mix_seed(9, 1, 2)
+        real_run = cli.run
+
+        def run_or_fail(config):
+            if config.seed == failing_seed:
+                raise error("conservation violated")
+            return real_run(config)
+
+        monkeypatch.setattr(cli, "run", run_or_fail)
+        with pytest.raises(error) as info:
+            run_sweep(self.spec(), jobs=1)
+        assert str(info.value) == (
+            f"sweep cell d_index=1 d=3.0 rep=2 seed={failing_seed}: conservation violated"
+        )
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        class BrokenRow:
+            def csv_row(self):
+                raise OSError("disk full")
+
+        rows = run_sweep(self.spec(d_values=(2.0,), replications=1))
+        with pytest.raises(OSError, match="disk full"):
+            write_raw_csv([rows[0], BrokenRow()], tmp_path / "raw.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_output_exit_code(self, capsys, tmp_path, monkeypatch):
+        # --out is created before the first cell runs
+        monkeypatch.setattr(cli, "run", _no_work)
         blocker = tmp_path / "file"
         blocker.write_text("x")
-        code, _ = run_cli(
-            capsys,
+        code = main([
             "sweep",
             "--m", "50", "--T", "5", "--d-list", "2", "--reps", "1",
             "--out", str(blocker / "nested"),
-        )
+        ])
         assert code == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 class TestAnalyze:
@@ -292,6 +321,22 @@ class TestAnalyze:
 
     def test_chain_beyond_the_hard_cap_rejected(self, capsys):
         code = main(["analyze", "--m", "5e6", "--d", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: stationary chain")
+
+    def test_every_input_checked_before_the_chain(self, capsys, monkeypatch):
+        monkeypatch.setattr(analytics, "stationary", _no_work)
+        code = main(["analyze", "--m", "1000", "--d", "5", "--T", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_tail_decay_chain_beyond_the_hard_cap_rejected(self, capsys):
+        # the main chain fits under the cap; the tail-decay chain's min_K does not
+        code = main(["analyze", "--m", "4e6", "--d", "1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

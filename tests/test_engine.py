@@ -171,6 +171,53 @@ class TestRunBasics:
             run(config(seed=1), burn_in=-1.0)
 
 
+PROPERTY_DEPARTURES = [
+    Constant(0.0),
+    Exponential(1.0),
+    Uniform(0.5, 1.5),
+    NeverPerish(),
+    Mixture(((0.4, NeverPerish()), (0.6, Mixture(((0.5, Constant(0.5)), (0.5, Exponential(2.0))))))),
+]
+
+
+@st.composite
+def small_markets(draw) -> MarketConfig:
+    m = draw(st.floats(min_value=0.5, max_value=80.0))
+    d = draw(st.one_of(st.just(m), st.floats(min_value=0.02, max_value=1.0).map(lambda f: f * m)))
+    return MarketConfig(
+        m=m,
+        d=d,
+        T=draw(st.one_of(st.just(1e-6), st.floats(min_value=0.01, max_value=5.0))),
+        policy=draw(st.sampled_from(ALL_POLICIES)),
+        departure=draw(st.sampled_from(PROPERTY_DEPARTURES)),
+        seed=draw(st.integers(min_value=0, max_value=(1 << 64) - 1)),
+        pool_trace=True,
+    )
+
+
+class TestRunProperties:
+    @given(
+        small_markets(),
+        st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=3.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_invariants_on_random_markets(self, cfg, burn_in):
+        stats = run(cfg, keep_agents=True, burn_in=burn_in)
+        assert stats.arrivals == stats.matched + stats.perished + stats.pool_at_T
+        assert run(cfg, keep_agents=True, burn_in=burn_in) == stats
+        for agent in stats.agents:
+            if agent.outcome == AgentOutcome.MATCHED:
+                other = stats.agents[agent.partner_id - 1]
+                assert other.partner_id == agent.id
+                assert other.outcome == AgentOutcome.MATCHED
+                assert other.outcome_time == agent.outcome_time
+            else:
+                assert agent.partner_id is None
+        if burn_in == 0.0:
+            per_agent = math.fsum(min(a.outcome_time, cfg.T) - a.arrival_time for a in stats.agents)
+            assert abs(pool_integral(stats.pool_trajectory, cfg.T) - per_agent) <= 1e-9
+
+
 class TestEventOrder:
     """Event order under exact float ties, and pinned sample paths.
 
