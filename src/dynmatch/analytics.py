@@ -247,6 +247,8 @@ def waiting_bounds(
     if not all(math.isfinite(x) and x > 0 for x in (m, T, d)):
         raise DomainError(f"need finite m, T, d > 0, got m={m}, T={T}, d={d}")
     upper = 6.0 * m * T / (5.0 * d)
+    if not math.isfinite(upper):
+        raise DomainError(f"waiting bound 6mT/(5d) overflows at m={m}, T={T}, d={d}")
     lower = m * T / (8.0 * d) if (mass_at_least_c > 0.9 and c_min > 1.0 / d) else None
     return lower, upper
 

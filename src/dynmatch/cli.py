@@ -91,8 +91,8 @@ class SweepSpec:
             raise ConfigError("d_values must be nonempty")
         if len(set(self.d_values)) != len(self.d_values):
             raise ConfigError(f"d_values must be distinct, got {self.d_values}")
-        if any(d > self.m for d in self.d_values):
-            raise ConfigError("every d must satisfy d <= m")
+        for i in range(len(self.d_values)):  # MarketConfig checks m, T and each d
+            self.cell_config(i, 0)
 
     def cell_config(self, d_index: int, rep: int) -> MarketConfig:
         return MarketConfig(

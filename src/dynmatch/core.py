@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
+from itertools import accumulate
 from typing import ClassVar, Union
 
 import numpy as np
@@ -98,9 +99,10 @@ class PolicyKind(str, Enum):
 # --------------------------------------------------------------------------
 # Departure (maximum-sojourn) distributions
 #
-# Each variant owns its law (``sample``, the exact masses ``cdf`` of [0, x]
-# and ``at_least`` of [x, inf], ``support_min``) and its names: ``kind`` in
-# JSON, ``flag`` in the CLI syntax.  Its fields are its parameters in both.
+# Each variant owns its law (``sample(u)`` with ``u()`` the next uniform, the
+# exact masses ``cdf`` of [0, x] and ``at_least`` of [x, inf], ``support_min``)
+# and its names: ``kind`` in JSON, ``flag`` in the CLI syntax.  Its fields
+# are its parameters in both.
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class Constant:
         if not (math.isfinite(self.c) and self.c >= 0):
             raise ConfigError(f"constant sojourn must be finite and >= 0, got {self.c}")
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, u: Callable[[], float]) -> float:
         return self.c
 
     def cdf(self, x: float) -> float:
@@ -138,8 +140,8 @@ class Exponential:
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ConfigError(f"exponential rate must be finite and > 0, got {self.rate}")
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return exponential_icdf(rng.random(), self.rate)
+    def sample(self, u: Callable[[], float]) -> float:
+        return exponential_icdf(u(), self.rate)
 
     def cdf(self, x: float) -> float:
         return -math.expm1(-self.rate * x)
@@ -162,8 +164,8 @@ class Uniform:
         if not (math.isfinite(self.a) and math.isfinite(self.b) and 0 <= self.a < self.b):
             raise ConfigError(f"uniform support needs 0 <= a < b, got [{self.a}, {self.b}]")
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.a + (self.b - self.a) * rng.random()
+    def sample(self, u: Callable[[], float]) -> float:
+        return self.a + (self.b - self.a) * u()
 
     def cdf(self, x: float) -> float:
         if x <= self.a:
@@ -190,7 +192,7 @@ class NeverPerish:
     kind: ClassVar[str] = "never"
     flag: ClassVar[str] = "never"
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, u: Callable[[], float]) -> float:
         return math.inf
 
     def cdf(self, x: float) -> float:
@@ -221,14 +223,14 @@ class Mixture:
             raise ConfigError("mixture weights must be positive")
         object.__setattr__(self, "components", tuple((w / total, c) for w, c in self.components))
 
-    def sample(self, rng: np.random.Generator) -> float:
-        u = rng.random()
+    def sample(self, u: Callable[[], float]) -> float:
+        pick = u()
         acc = 0.0
         for w, comp in self.components:
             acc += w
-            if u < acc:
-                return comp.sample(rng)
-        return self.components[-1][1].sample(rng)
+            if pick < acc:
+                return comp.sample(u)
+        return self.components[-1][1].sample(u)
 
     def cdf(self, x: float) -> float:
         return math.fsum(w * comp.cdf(x) for w, comp in self.components)
@@ -246,7 +248,7 @@ DepartureSpec = Union[DEPARTURE_VARIANTS]
 
 def sample_sojourn(spec: DepartureSpec, rng: np.random.Generator) -> float:
     """Draw one maximum sojourn time; NeverPerish yields +inf."""
-    return spec.sample(rng)
+    return spec.sample(rng.random)
 
 
 def exponential_icdf(u: float, rate: float) -> float:
@@ -257,6 +259,26 @@ def exponential_icdf(u: float, rate: float) -> float:
 def sample_interarrival(m: float, rng: np.random.Generator) -> float:
     """One Exponential(m) interarrival gap, via inverse CDF."""
     return exponential_icdf(rng.random(), m)
+
+
+# Uniforms per block of a drawn stream; private, they change no output bit.
+_UNIFORM_BLOCK = 1024
+_COMPAT_BLOCK = 8192
+
+
+def uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """The floats of successive scalar ``rng.random()`` calls, drawn
+    ``_UNIFORM_BLOCK`` at a time (``rng.random(n)`` is exactly n scalar
+    calls).  It draws ahead, so it must be the only consumer of ``rng``."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+
+def arrival_times(m: float, rng: np.random.Generator) -> Iterator[float]:
+    """Poisson(m) arrival times from 0: running sums of the Exponential(m)
+    gaps of ``uniforms(rng)``, the same float additions in the same order as
+    ``t = t + sample_interarrival(m, rng)``."""
+    return accumulate(exponential_icdf(u, m) for u in uniforms(rng))
 
 
 def departure_cdf(spec: DepartureSpec, x: float) -> float:
@@ -282,11 +304,19 @@ def departure_to_dict(spec: DepartureSpec) -> dict:
 
 
 def _number(data: dict, key: str) -> float:
-    """``float(data[key])``, refusing JSON booleans (``float(True)`` is 1.0)."""
+    """``float(data[key])`` of a JSON number, refusing strings and booleans
+    (``float(True)`` is 1.0); an integer past the float range overflows."""
     value = data[key]
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _check_keys(data: dict, names: Iterable[str]) -> None:
+    """Refuse keys outside ``names``, so a misspelt field is not dropped."""
+    unknown = set(data) - set(names)
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {data!r}")
 
 
 def departure_from_dict(data: dict) -> DepartureSpec:
@@ -298,12 +328,15 @@ def departure_from_dict(data: dict) -> DepartureSpec:
     if variant is None:
         raise ConfigError(f"unknown departure kind {kind!r}")
     try:
+        _check_keys(data, ["kind", *(f.name for f in fields(variant))])
         if variant is Mixture:
+            for e in data["components"]:
+                _check_keys(e, ["weight", "spec"])
             comps = [(_number(e, "weight"), departure_from_dict(e["spec"]))
                      for e in data["components"]]
             return Mixture(tuple(comps))
         return variant(*(_number(data, f.name) for f in fields(variant)))
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed departure object {data!r}: {exc}") from None
 
 
@@ -359,30 +392,6 @@ class Agent:
     outcome_time: float | None = None
 
 
-# Uniforms per block of a drawn stream; private, they change no output bit.
-_UNIFORM_BLOCK = 1024
-_COMPAT_BLOCK = 8192
-
-
-class BlockUniforms:
-    """Stand-in for a generator whose ``random()`` yields the floats of
-    successive scalar ``rng.random()`` calls, drawn in blocks.
-
-    ``rng.random(n)`` is exactly ``n`` scalar calls, so a sampler that is
-    handed this object instead of ``rng`` returns the same values.  It
-    draws ahead, so it must be the only consumer of ``rng``.
-    """
-
-    __slots__ = ("random",)
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        def stream():
-            while True:
-                yield from rng.random(_UNIFORM_BLOCK).tolist()
-
-        self.random = stream().__next__
-
-
 class PairCompatibilityOracle:
     """Bernoulli(p) compatibility draws, one per unordered agent pair.
 
@@ -391,44 +400,39 @@ class PairCompatibilityOracle:
     criticality under patient matching.  Each pair is queried at most once
     per run, so lazy drawing is distributionally exact.
 
-    Uniforms come from ``rng`` in blocks; each block's hit positions
-    (``flatnonzero(block < p)``) are found once, and a query walks a
-    pointer over them.  Over all queries, the uniforms are used in the
-    order of successive scalar ``rng.random()`` calls; the oracle draws
-    ahead, so it must be the only consumer of ``rng``.
+    All queries share one stream of scalar ``rng.random()`` draws: a query
+    of n members uses the next n, and its hits are the draws below ``p``.
+    Draws come a block at a time, at most one block past the queried
+    positions, so the oracle must be the only consumer of ``rng``.
     """
 
-    __slots__ = ("rng", "p", "_hits", "_next", "_pos", "_fill")
+    __slots__ = ("rng", "p", "_hits", "_pos", "_drawn")
 
     def __init__(self, rng: np.random.Generator, p: float) -> None:
         if not 0 < p <= 1:
             raise ConfigError(f"compatibility probability must be in (0, 1], got {p}")
         self.rng = rng
         self.p = p
-        self._hits: list[int] = []  # positions in the current block of uniforms < p
-        self._next = 0  # index in _hits of the first hit at or after _pos
-        self._pos = 0  # position in the block of the next uniform to use
-        self._fill = 0  # uniforms in the current block (0 before the first draw)
+        self._hits: list[int] = []  # ascending positions >= _pos of the hits drawn so far
+        self._pos = 0  # position of the next draw to use
+        self._drawn = 0  # draws made so far
 
     def query_block(self, agent_id: int, member_ids: Sequence[int]) -> list[int]:
         """Query one agent against a block of pool members, one draw each.
 
         Returns the ascending offsets into ``member_ids`` of the compatible
         members: the positions of ``rng.random(len(member_ids)) < p``."""
-        begin = self._pos  # block position of the first member (negative once past a refill)
-        end = begin + len(member_ids)
-        out: list[int] = []
-        while end > self._fill:  # take the rest of this block, draw the next
-            out += [h - begin for h in self._hits[self._next:]]
-            begin -= self._fill
-            end -= self._fill
-            self._hits = np.flatnonzero(self.rng.random(_COMPAT_BLOCK) < self.p).tolist()
-            self._next, self._fill = 0, _COMPAT_BLOCK
-        hits, i = self._hits, self._next
-        j = bisect_left(hits, end, i)
-        self._next, self._pos = j, end
-        if j > i:
-            out += [h - begin for h in hits[i:j]]
+        begin = self._pos
+        end = self._pos = begin + len(member_ids)
+        hits = self._hits
+        while self._drawn < end:  # hits of the next block, as absolute positions
+            hits += (np.flatnonzero(self.rng.random(_COMPAT_BLOCK) < self.p) + self._drawn).tolist()
+            self._drawn += _COMPAT_BLOCK
+        if not hits or hits[0] >= end:
+            return []
+        j = bisect_left(hits, end)
+        out = [h - begin for h in hits[:j]]
+        del hits[:j]
         return out
 
 
@@ -472,8 +476,9 @@ class MarketConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "MarketConfig":
         try:
+            _check_keys(data, [f.name for f in fields(cls)])
             seed, pool_trace = data["seed"], data.get("pool_trace", False)
-            if isinstance(seed, bool) or isinstance(seed, float) and not seed.is_integer():
+            if not (type(seed) is int or isinstance(seed, float) and seed.is_integer()):
                 raise ConfigError(f"seed must be an integer, got {seed!r}")
             if not isinstance(pool_trace, bool):
                 raise ConfigError(f"pool_trace must be true or false, got {pool_trace!r}")
@@ -486,7 +491,7 @@ class MarketConfig:
                 seed=int(seed),
                 pool_trace=pool_trace,
             )
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed market config: {exc}") from None

@@ -26,7 +26,6 @@ from heapq import heappop, heappush
 from .core import (
     Agent,
     AgentOutcome,
-    BlockUniforms,
     ConfigError,
     Constant,
     FormatError,
@@ -36,7 +35,8 @@ from .core import (
     PolicyKind,
     RangeError,
     RngStreams,
-    sample_interarrival,
+    arrival_times,
+    uniforms,
 )
 
 # One CSV row per run; fixed schema, versioned in the file header.
@@ -217,12 +217,11 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     if burn_in < 0 or not math.isfinite(burn_in):
         raise ConfigError(f"burn_in must be finite and >= 0, got {burn_in}")
     streams = RngStreams.from_seed(config.seed)
-    gaps = BlockUniforms(streams.interarrival)
-    sojourns = BlockUniforms(streams.sojourn)
+    arrivals = arrival_times(config.m, streams.interarrival)
+    sojourns = uniforms(streams.sojourn).__next__
     tiebreak = streams.tiebreak.integers
     query = PairCompatibilityOracle(streams.compatibility, config.p).query_block
 
-    m = config.m
     horizon = burn_in + config.T
     warm = burn_in > 0.0
     patient = config.policy is PolicyKind.PATIENT
@@ -244,7 +243,7 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     pool = ledger.ids
     pos: dict[int, int] = {}
     heap: list[tuple[float, int]] = []
-    next_arrival = sample_interarrival(m, gaps)
+    next_arrival = next(arrivals)
 
     while True:
         arriving = not heap or (next_arrival, n) <= heap[0]
@@ -262,7 +261,7 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
             outcome_time.append(0.0)
             if warm and t <= burn_in:
                 first = n + 1
-            next_arrival = t + sample_interarrival(m, gaps)
+            next_arrival = next(arrivals)
         else:
             aid = heappop(heap)[1]
             if outcome[aid] != AgentOutcome.UNRESOLVED:
@@ -347,18 +346,18 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
         raise ConfigError("coupled mode is defined for the greedy policy only")
 
     streams = RngStreams.from_seed(config.seed)
-    gaps = BlockUniforms(streams.interarrival)
-    sojourns = BlockUniforms(streams.sojourn)
+    arrivals = arrival_times(config.m, streams.interarrival)
+    sojourns = uniforms(streams.sojourn).__next__
     tiebreak = streams.tiebreak.integers
     query = PairCompatibilityOracle(streams.compatibility, config.p).query_block
-    m, T = config.m, config.T
+    T = config.T
     departure = config.departure
     draw_sojourn = departure.sample
 
     arrival = array("d", [0.0])  # indexed by id (slot 0 unused)
     matched = bytearray(1)  # matched in the perishing pool
     n = 0
-    next_arrival = sample_interarrival(m, gaps)
+    next_arrival = next(arrivals)
     heap: list[tuple[float, int]] = []  # criticality events of the perishing pool
 
     # both pools keep ascending ids (arrival order); the perishing one draws
@@ -381,7 +380,7 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
             s = draw_sojourn(sojourns)
             arrival.append(t)
             matched.append(0)
-            next_arrival = t + sample_interarrival(m, gaps)
+            next_arrival = next(arrivals)
 
             # side j's hits are the shared offsets below its pool size
             hits = query(n, max(perishing.ids, never.ids, key=len))

@@ -90,8 +90,15 @@ class TestSimulate:
             json.dumps(CONFIG | {"seed": True}),
             json.dumps(CONFIG | {"m": True, "d": 0.5}),
             json.dumps(CONFIG | {"departure": {"kind": "constant", "c": True}}),
+            json.dumps(CONFIG | {"m": "1000"}),
+            json.dumps(CONFIG | {"seed": "7"}),
+            json.dumps(CONFIG | {"departure": {"kind": "constant", "c": "1"}}),
+            json.dumps(CONFIG | {"m": 10**400}),
+            json.dumps(CONFIG | {"extra": 1}),
+            json.dumps(CONFIG | {"pool_trac": True}),
         ],
-        ids=["truncated", "string-pool-trace", "fractional-seed", "bool-seed", "bool-m", "bool-departure-c"],
+        ids=["truncated", "string-pool-trace", "fractional-seed", "bool-seed", "bool-m", "bool-departure-c",
+             "string-m", "string-seed", "string-departure-c", "huge-int-m", "extra-key", "misspelt-key"],
     )
     def test_bad_config_file_exit_code(self, capsys, tmp_path, text):
         path = tmp_path / "market.json"
@@ -215,6 +222,19 @@ class TestSweep:
         assert code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "m, T, d", [("1000", "1", "-1"), ("nan", "1", "2"), ("1000", "0", "2")], ids=["d", "m", "T"]
+    )
+    def test_out_of_range_market_leaves_no_output(self, capsys, tmp_path, m, T, d):
+        code = main([
+            "sweep",
+            "--m", m, "--T", T, "--d-list", d, "--reps", "1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_rejected_before_any_run(self, capsys, tmp_path, monkeypatch, jobs):
         monkeypatch.setattr(cli, "run", _no_work)
@@ -311,7 +331,7 @@ class TestAnalyze:
         code, _ = run_cli(capsys, "analyze", "--m", "10", "--d", "20")
         assert code == 2
 
-    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "1e308"])
     def test_non_finite_horizon_rejected(self, capsys, horizon):
         code = main(["analyze", "--m", "100", "--d", "3", "--T", horizon])
         captured = capsys.readouterr()

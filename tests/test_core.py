@@ -14,7 +14,6 @@ import dynmatch.core as core
 from conftest import ks_critical, ks_statistic
 from dynmatch.core import (
     DEPARTURE_VARIANTS,
-    BlockUniforms,
     ConfigError,
     Constant,
     DomainError,
@@ -27,6 +26,7 @@ from dynmatch.core import (
     PolicyKind,
     RngStreams,
     Uniform,
+    arrival_times,
     departure_at_least,
     departure_cdf,
     departure_from_dict,
@@ -36,6 +36,7 @@ from dynmatch.core import (
     parse_departure_flag,
     sample_interarrival,
     sample_sojourn,
+    uniforms,
 )
 
 
@@ -197,9 +198,10 @@ class TestCompatibilityOracle:
         with pytest.raises(ConfigError):
             PairCompatibilityOracle(rng(1), 0.0)
 
-    @pytest.mark.parametrize("p", [0.05, 1.0])
+    @pytest.mark.parametrize("p", [0.05, 1.0, 1e-4, 1e-6])
     def test_hit_offsets_equal_scalar_reference(self, p):
-        # one query larger than a block, the rest crossing block boundaries
+        # one query larger than a block, the rest crossing block boundaries;
+        # the small p leave whole blocks without a hit
         sizes = [0, 1, 5, 300, 3, core._COMPAT_BLOCK + 1000, 0, 2, 4000, 7000, 17, 9000, 1]
         assert sum(sizes) > 3 * core._COMPAT_BLOCK
         oracle = PairCompatibilityOracle(rng(6), p)
@@ -208,19 +210,43 @@ class TestCompatibilityOracle:
             offsets = oracle.query_block(1, range(k))
             assert offsets == np.flatnonzero(reference.random(k) < p).tolist()
 
+    def test_draws_at_most_one_block_past_the_queries(self):
+        class NoHits:
+            calls = 0
+
+            def random(self, n):
+                self.calls += 1
+                return np.ones(n)
+
+        stub = NoHits()
+        oracle = PairCompatibilityOracle(stub, 0.5)
+        drawn = 0
+        for k in [0, 1, core._COMPAT_BLOCK - 1, 0, 1, 5, 3 * core._COMPAT_BLOCK, 2, core._COMPAT_BLOCK]:
+            assert oracle.query_block(1, range(k)) == []
+            drawn += k
+            assert stub.calls == math.ceil(drawn / core._COMPAT_BLOCK)
+
 
 class TestBlockUniforms:
     def test_same_values_as_scalar_draws_across_refills(self):
         n = 3 * core._UNIFORM_BLOCK + 17
-        block, scalar = BlockUniforms(rng(5)), rng(5)
-        assert [block.random() for _ in range(n)] == [scalar.random() for _ in range(n)]
+        block, scalar = uniforms(rng(5)), rng(5)
+        assert [next(block) for _ in range(n)] == [scalar.random() for _ in range(n)]
 
     def test_samplers_accept_it_as_rng(self):
         spec = Mixture(((0.5, Exponential(2.0)), (0.5, Uniform(0.2, 3.0))))
-        block, scalar = BlockUniforms(rng(8)), rng(8)
+        block, scalar = uniforms(rng(8)).__next__, rng(8)
         for _ in range(2 * core._UNIFORM_BLOCK):
-            assert sample_interarrival(3.0, block) == sample_interarrival(3.0, scalar)
-            assert sample_sojourn(spec, block) == sample_sojourn(spec, scalar)
+            assert exponential_icdf(block(), 3.0) == sample_interarrival(3.0, scalar)
+            assert spec.sample(block) == sample_sojourn(spec, scalar)
+
+    def test_arrival_times_are_running_sums_of_scalar_gaps(self):
+        n = 3 * core._UNIFORM_BLOCK + 17
+        times, scalar = arrival_times(3.0, rng(4)), rng(4)
+        t = 0.0
+        for _ in range(n):
+            t = t + sample_interarrival(3.0, scalar)
+            assert next(times) == t
 
 
 class TestSeeding:
@@ -298,6 +324,11 @@ class TestMarketConfig:
             {"kind": "exponential", "rate": True},
             {"kind": "mixture", "components": [{"weight": 1.0}]},
             [],
+            {"kind": "constant", "c": "1"},
+            {"kind": "constant", "c": 1.0, "extra": 1},
+            {"kind": "never", "c": 1.0},
+            {"kind": "mixture", "components": [{"weight": 1.0, "spec": {"kind": "never"}}], "weights": [1.0]},
+            {"kind": "mixture", "components": [{"weight": 1.0, "spec": {"kind": "never"}, "w": 1.0}]},
         ],
     )
     def test_wrong_or_missing_fields_rejected(self, data):

@@ -4,6 +4,7 @@ coupled pools, and the patient-run instrumentation."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -228,7 +229,7 @@ class TestEventOrder:
 
     @pytest.fixture
     def unit_gaps(self, monkeypatch):
-        monkeypatch.setattr(engine, "sample_interarrival", lambda m, rng: 1.0)
+        monkeypatch.setattr(engine, "arrival_times", lambda m, rng: itertools.count(1.0))
 
     @staticmethod
     def pairs(stats) -> list[tuple[int, int, float]]:

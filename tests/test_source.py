@@ -7,7 +7,11 @@ import importlib
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import dynmatch.engine as engine
+from dynmatch.core import Exponential, MarketConfig, PairCompatibilityOracle, PolicyKind
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dynmatch"
@@ -59,3 +63,34 @@ def test_benchmark_imports_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(f"dynmatch.{module}"), attr, None))
     ]
     assert not missing, f"perfbench uses names the package no longer has: {missing}"
+
+
+def test_benchmark_trace_pass_runs(monkeypatch):
+    # the benchmark's --trace 1 pass rebuilds the engine's counts from a run's
+    # outputs and replays its core calls, so an engine or core change could
+    # break it without any other test noticing
+    tracing = _load_perfbench("tracing", monkeypatch)
+    failed = []
+
+    def check(label, ok, detail):
+        if not ok:
+            failed.append(f"{label}: {detail}")
+
+    sizes = []
+    query_block = PairCompatibilityOracle.query_block
+
+    def recording(self, agent_id, member_ids):
+        sizes.append(len(member_ids))
+        return query_block(self, agent_id, member_ids)
+
+    monkeypatch.setattr(PairCompatibilityOracle, "query_block", recording)
+    for policy in PolicyKind:
+        config = MarketConfig(m=200.0, d=3.0, T=5.0, policy=policy, departure=Exponential(1.0), seed=11)
+        sizes.clear()
+        stats = engine.run(config)
+        engine_sizes = sorted(sizes)
+        tracing.record_layers(engine.run, [(config, stats)], check)
+        traced = engine.run(replace(config, pool_trace=True), keep_agents=True)
+        # the rebuild goes by agent, the engine by event time: compare as multisets
+        assert sorted(tracing.rebuild_counts(config, traced).query_sizes) == engine_sizes, policy
+    assert not failed, failed
