@@ -276,9 +276,43 @@ def uniforms(rng: np.random.Generator) -> Iterator[float]:
 
 def arrival_times(m: float, rng: np.random.Generator) -> Iterator[float]:
     """Poisson(m) arrival times from 0: running sums of the Exponential(m)
-    gaps of ``uniforms(rng)``, the same float additions in the same order as
-    ``t = t + sample_interarrival(m, rng)``."""
-    return accumulate(exponential_icdf(u, m) for u in uniforms(rng))
+    gaps ``exponential_icdf(u, m)`` of ``uniforms(rng)``, the same float
+    additions in the same order as ``t = t + sample_interarrival(m, rng)``.
+    Each block's gaps and sums are computed at once; the first time is the
+    first gap itself (``initial=None``)."""
+    t = None
+    while True:
+        times = list(accumulate([-math.log1p(-u) / m for u in rng.random(_UNIFORM_BLOCK).tolist()],
+                                initial=t))
+        yield from times if t is None else times[1:]
+        t = times[-1]
+
+
+def tiebreaks(rng: np.random.Generator) -> Callable[[int], int]:
+    """``draw(k)``, equal to successive ``int(rng.integers(k))`` calls.
+
+    It replays numpy's 32-bit Lemire rule on ``random_raw`` words drawn a
+    block at a time, each split low half first (as PCG64's 32-bit output
+    does): ``k == 1`` draws nothing, and ``x = w * k`` is redrawn while
+    ``x mod 2^32 < (2^32 - k) mod k``; the draw is ``x >> 32``.  It draws
+    ahead, so it must be the only consumer of ``rng``."""
+    def words() -> Iterator[int]:
+        while True:  # little-endian 32-bit view of each word: low half first
+            yield from rng.bit_generator.random_raw(_UNIFORM_BLOCK).astype("<u8").view("<u4").tolist()
+
+    half = words().__next__
+
+    def draw(k: int) -> int:
+        if k == 1:
+            return 0
+        if not 1 < k < 1 << 32:
+            raise DomainError(f"tie-break range must be in [1, 2^32), got {k}")
+        x = half() * k
+        while x & 0xFFFFFFFF < ((1 << 32) - k) % k:
+            x = half() * k
+        return x >> 32
+
+    return draw
 
 
 def departure_cdf(spec: DepartureSpec, x: float) -> float:
@@ -406,14 +440,15 @@ class PairCompatibilityOracle:
     positions, so the oracle must be the only consumer of ``rng``.
     """
 
-    __slots__ = ("rng", "p", "_hits", "_pos", "_drawn")
+    __slots__ = ("rng", "p", "_hits", "_next", "_pos", "_drawn")
 
     def __init__(self, rng: np.random.Generator, p: float) -> None:
         if not 0 < p <= 1:
             raise ConfigError(f"compatibility probability must be in (0, 1], got {p}")
         self.rng = rng
         self.p = p
-        self._hits: list[int] = []  # ascending positions >= _pos of the hits drawn so far
+        self._hits: list[int] = []  # ascending positions of the hits drawn so far
+        self._next = 0  # index in _hits of the first hit at or after _pos
         self._pos = 0  # position of the next draw to use
         self._drawn = 0  # draws made so far
 
@@ -424,16 +459,16 @@ class PairCompatibilityOracle:
         members: the positions of ``rng.random(len(member_ids)) < p``."""
         begin = self._pos
         end = self._pos = begin + len(member_ids)
-        hits = self._hits
-        while self._drawn < end:  # hits of the next block, as absolute positions
-            hits += (np.flatnonzero(self.rng.random(_COMPAT_BLOCK) < self.p) + self._drawn).tolist()
-            self._drawn += _COMPAT_BLOCK
-        if not hits or hits[0] >= end:
+        if self._drawn < end:  # drop the used hits, then add the next blocks' hits
+            self._hits, self._next = self._hits[self._next:], 0
+            while self._drawn < end:
+                self._hits += (np.flatnonzero(self.rng.random(_COMPAT_BLOCK) < self.p) + self._drawn).tolist()
+                self._drawn += _COMPAT_BLOCK
+        hits, i = self._hits, self._next
+        if i == len(hits) or hits[i] >= end:
             return []
-        j = bisect_left(hits, end)
-        out = [h - begin for h in hits[:j]]
-        del hits[:j]
-        return out
+        j = self._next = bisect_left(hits, end, i)
+        return [h - begin for h in hits[i:j]]
 
 
 # --------------------------------------------------------------------------

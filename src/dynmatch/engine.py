@@ -8,11 +8,15 @@ criticality of every older agent but before the criticality of the agent
 who arrived last.  This deterministic order realizes the almost-sure
 uniqueness of event times in the continuous model.  Processing stops at
 the first event strictly after the horizon T: the pending arrival is
-discarded and still-pooled agents are counted at the horizon.
+discarded and still-pooled agents are counted at the horizon.  Under a
+``Constant`` sojourn the critical times ``t + c`` never decrease with the
+id, so a FIFO ``deque`` replaces the heap and pops in exactly its
+``(critical_time, agent_id)`` order, ties included.
 
-``_Pool`` is the single owner of pool accounting (members, waiting sums,
-counts, trajectory, the conservation and waiting-time checks, and the
-``RunStats`` they build); ``run`` keeps one pool and ``run_coupled`` two.
+The loops keep pool accounting in locals (members, counts, trajectory, and
+Kahan sums of the pool integral and of the agent waits, in event order);
+``_Pool`` checks conservation and the waiting-time identity at the end and
+builds the ``RunStats``.  ``run`` keeps one pool and ``run_coupled`` two.
 """
 
 from __future__ import annotations
@@ -20,7 +24,10 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 
 from .core import (
@@ -36,8 +43,15 @@ from .core import (
     RangeError,
     RngStreams,
     arrival_times,
+    tiebreaks,
     uniforms,
 )
+
+# Outcome codes of the per-agent ``bytearray`` in ``run``, as plain ints: an
+# enum member lookup costs more than the loop step that reads it.
+_UNRESOLVED = int(AgentOutcome.UNRESOLVED)
+_MATCHED = int(AgentOutcome.MATCHED)
+_PERISHED = int(AgentOutcome.PERISHED)
 
 # One CSV row per run; fixed schema, versioned in the file header.
 RUN_CSV_COLUMNS = (
@@ -54,22 +68,6 @@ RUN_CSV_COLUMNS = (
     "perished",
     "pool_at_T",
 )
-
-
-class _Kahan:
-    """Compensated float accumulator; keeps run identities tight at 1e-9."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
 
 
 @dataclass
@@ -105,35 +103,20 @@ class RunStats:
         return [getattr(self, col) for col in RUN_CSV_COLUMNS]
 
 
+@dataclass(slots=True)
 class _Pool:
-    """Members and accounting of one pool.
+    """The ledger of one pool at the end of a run.
 
     ``wait`` integrates the pool size over time and ``agent_wait`` sums the
     waits of the counted agents; over a full run they are the same total
     (the waiting-time identity).
     """
 
-    __slots__ = ("ids", "wait", "agent_wait", "matched", "perished", "traj", "t_last")
-
-    def __init__(self, trace: bool) -> None:
-        self.ids: list[int] = []
-        self.wait = _Kahan()
-        self.agent_wait = _Kahan()
-        self.matched = 0
-        self.perished = 0
-        self.traj: list[tuple[float, int]] | None = [(0.0, 0)] if trace else None
-        self.t_last = 0.0
-
-    def advance(self, t: float) -> None:
-        """Integrate the pool size up to time ``t``."""
-        if t > self.t_last:
-            self.wait.add(len(self.ids) * (t - self.t_last))
-            self.t_last = t
-
-    def mark(self, t: float) -> None:
-        """Record a trajectory change point at ``t`` if the size changed."""
-        if self.traj is not None and self.traj[-1][1] != len(self.ids):
-            self.traj.append((t, len(self.ids)))
+    matched: int
+    perished: int
+    wait: float
+    agent_wait: float
+    traj: list[tuple[float, int]] | None
 
     def stats(self, config: MarketConfig, kind: str, arrivals: int, pool_at_T: int,
               warm: bool = False, agents: list[Agent] | None = None) -> RunStats:
@@ -143,7 +126,7 @@ class _Pool:
         so the pool integral is not their wait."""
         if arrivals != self.matched + self.perished + pool_at_T:
             raise NumericError(f"conservation violated in the {kind} pool")
-        wait, agent_wait = self.wait.total, self.agent_wait.total
+        wait, agent_wait = self.wait, self.agent_wait
         if not warm and abs(wait - agent_wait) > 1e-9:
             raise NumericError(
                 f"waiting-time identity violated in the {kind} pool: {wait} vs {agent_wait}"
@@ -184,6 +167,29 @@ def pool_integral(trajectory: list[tuple[float, int]], T: float) -> float:
     return math.fsum(pieces)
 
 
+def _kahan_extend(total: float, c: float, xs: Iterable[float]) -> float:
+    """The compensated sum ``total`` (compensation ``c``) continued over ``xs``.
+
+    The loops make the same update inline: ``y = x - c`` then
+    ``total, c = total + y, (total + y - total) - y``."""
+    for x in xs:
+        y = x - c
+        total, c = total + y, (total + y - total) - y
+    return total
+
+
+def _criticality_queue(departure) -> tuple:
+    """``(queue, push, pop)`` for criticality events ``(critical_time, id)``.
+
+    A FIFO ``deque`` under ``Constant`` (its events are pushed in heap
+    order), else a heap, with ``heappush``/``heappop`` bound by ``partial``."""
+    if isinstance(departure, Constant):
+        queue = deque()
+        return queue, queue.append, queue.popleft
+    heap: list[tuple[float, int]] = []
+    return heap, partial(heappush, heap), partial(heappop, heap)
+
+
 def _pool_remove(pool: list[int], pos: dict[int, int], agent_id: int) -> None:
     # Swap-remove keeps O(1); pool order is irrelevant here because every
     # pair draw is fresh (see PairCompatibilityOracle).
@@ -217,9 +223,9 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     if burn_in < 0 or not math.isfinite(burn_in):
         raise ConfigError(f"burn_in must be finite and >= 0, got {burn_in}")
     streams = RngStreams.from_seed(config.seed)
-    arrivals = arrival_times(config.m, streams.interarrival)
+    arrivals = arrival_times(config.m, streams.interarrival).__next__
     sojourns = uniforms(streams.sojourn).__next__
-    tiebreak = streams.tiebreak.integers
+    tiebreak = tiebreaks(streams.tiebreak)
     query = PairCompatibilityOracle(streams.compatibility, config.p).query_block
 
     horizon = burn_in + config.T
@@ -228,6 +234,7 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     by_sojourn = config.policy is PolicyKind.GREEDY_SOJOURN
     departure = config.departure
     draw_sojourn = departure.sample
+    queue, push, pop = _criticality_queue(departure)
 
     # per-agent state, indexed by id (slot 0 unused)
     arrival = array("d", [0.0])
@@ -238,16 +245,17 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     n = 0  # agents so far
     first = 1  # ids >= first arrived after burn_in; arrival times never decrease
 
-    ledger = _Pool(config.pool_trace)
-    advance, mark, add_wait = ledger.advance, ledger.mark, ledger.agent_wait.add
-    pool = ledger.ids
+    pool: list[int] = []
     pos: dict[int, int] = {}
-    heap: list[tuple[float, int]] = []
-    next_arrival = next(arrivals)
+    traj = [(0.0, 0)] if config.pool_trace else None
+    # Kahan sums (total, compensation) of the pool integral and the agent waits
+    wait = wait_c = agent_wait = agent_c = t_last = 0.0
+    matched = perished = 0
+    next_arrival = arrivals()
 
     while True:
-        arriving = not heap or (next_arrival, n) <= heap[0]
-        t = next_arrival if arriving else heap[0][0]
+        arriving = not queue or (next_arrival, n) <= queue[0]
+        t = next_arrival if arriving else queue[0][0]
         if t > horizon:
             break
         if arriving:
@@ -256,17 +264,20 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
             s = draw_sojourn(sojourns)
             arrival.append(t)
             sojourn.append(s)
-            outcome.append(AgentOutcome.UNRESOLVED)
+            outcome.append(_UNRESOLVED)
             partner.append(0)
             outcome_time.append(0.0)
             if warm and t <= burn_in:
                 first = n + 1
-            next_arrival = next(arrivals)
+            next_arrival = arrivals()
         else:
-            aid = heappop(heap)[1]
-            if outcome[aid] != AgentOutcome.UNRESOLVED:
+            aid = pop()[1]
+            if outcome[aid] != _UNRESOLVED:
                 continue  # already matched; stale event
-        advance(t)
+        if t > t_last:
+            y = len(pool) * (t - t_last) - wait_c
+            wait, wait_c = wait + y, (wait + y - wait) - y
+            t_last = t
         if not arriving:
             _pool_remove(pool, pos, aid)
 
@@ -278,47 +289,46 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
                 if by_sojourn:
                     j = min(hits, key=lambda h: (arrival[pool[h]] + sojourn[pool[h]], pool[h]))
                 else:
-                    j = hits[int(tiebreak(len(hits)))]
+                    j = hits[tiebreak(len(hits))]
                 partner_id = pool[j]
 
         if partner_id:
             _pool_remove(pool, pos, partner_id)
-            outcome[aid] = outcome[partner_id] = AgentOutcome.MATCHED
+            outcome[aid] = outcome[partner_id] = _MATCHED
             partner[aid], partner[partner_id] = partner_id, aid
             outcome_time[aid] = outcome_time[partner_id] = t
             if partner_id >= first:
-                add_wait(t - arrival[partner_id])
-                ledger.matched += 1
+                y = t - arrival[partner_id] - agent_c
+                agent_wait, agent_c = agent_wait + y, (agent_wait + y - agent_wait) - y
+                matched += 1
             if aid >= first:
-                if not arriving:  # an arriving agent leaves at once, with no wait
-                    add_wait(t - arrival[aid])
-                ledger.matched += 1
+                matched += 1
         elif arriving:
             pos[aid] = len(pool)
             pool.append(aid)
             if math.isfinite(t + s):
-                heappush(heap, (t + s, aid))
+                push((t + s, aid))
         else:
-            outcome[aid] = AgentOutcome.PERISHED
+            outcome[aid] = _PERISHED
             outcome_time[aid] = t
             if aid >= first:
-                add_wait(t - arrival[aid])
-                ledger.perished += 1
+                perished += 1
+        if not arriving and aid >= first:  # an arriving agent leaves at once, with no wait
+            y = t - arrival[aid] - agent_c
+            agent_wait, agent_c = agent_wait + y, (agent_wait + y - agent_wait) - y
 
-        mark(t)
+        if traj is not None and traj[-1][1] != len(pool):
+            traj.append((t, len(pool)))
 
-    advance(horizon)
-    pool_at_T = 0
+    if horizon > t_last:
+        wait += len(pool) * (horizon - t_last) - wait_c
     for aid in pool:
         outcome[aid] = AgentOutcome.IN_POOL_AT_HORIZON
         outcome_time[aid] = horizon
-        if aid >= first:
-            add_wait(horizon - arrival[aid])
-            pool_at_T += 1
+    counted = [horizon - arrival[aid] for aid in pool if aid >= first]
+    agent_wait = _kahan_extend(agent_wait, agent_c, counted)
     # each window agent's final outcome must be the one the ledger counted
-    if (outcome.count(AgentOutcome.MATCHED, first), outcome.count(AgentOutcome.PERISHED, first)) != (
-        ledger.matched, ledger.perished
-    ):
+    if (outcome.count(_MATCHED, first), outcome.count(_PERISHED, first)) != (matched, perished):
         raise NumericError("per-agent outcomes disagree with the pool's counts")
     agents = None
     if keep_agents:
@@ -327,7 +337,8 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
                   partner[i] or None, outcome_time[i])
             for i in range(1, n + 1)
         ]
-    return ledger.stats(config, departure.kind, n - first + 1, pool_at_T, warm, agents)
+    ledger = _Pool(matched, perished, wait, agent_wait, traj)
+    return ledger.stats(config, departure.kind, n - first + 1, len(counted), warm, agents)
 
 
 def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
@@ -346,80 +357,93 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
         raise ConfigError("coupled mode is defined for the greedy policy only")
 
     streams = RngStreams.from_seed(config.seed)
-    arrivals = arrival_times(config.m, streams.interarrival)
+    arrivals = arrival_times(config.m, streams.interarrival).__next__
     sojourns = uniforms(streams.sojourn).__next__
-    tiebreak = streams.tiebreak.integers
+    tiebreak = tiebreaks(streams.tiebreak)
     query = PairCompatibilityOracle(streams.compatibility, config.p).query_block
     T = config.T
     departure = config.departure
     draw_sojourn = departure.sample
+    queue, push, pop = _criticality_queue(departure)  # events of the perishing pool
 
     arrival = array("d", [0.0])  # indexed by id (slot 0 unused)
     matched = bytearray(1)  # matched in the perishing pool
     n = 0
-    next_arrival = next(arrivals)
-    heap: list[tuple[float, int]] = []  # criticality events of the perishing pool
+    next_arrival = arrivals()
 
-    # both pools keep ascending ids (arrival order); the perishing one draws
-    # its tie-break first
-    perishing = _Pool(config.pool_trace)
-    never = _Pool(config.pool_trace)
-    sides = (perishing, never)
-    max_gap = 0
+    # the perishing pool (a) and the never-perishing one (b) keep ascending ids
+    # (arrival order), and a draws its tie-break first; sums as in ``run``
+    a_ids: list[int] = []
+    b_ids: list[int] = []
+    a_traj = [(0.0, 0)] if config.pool_trace else None
+    b_traj = [(0.0, 0)] if config.pool_trace else None
+    a_wait = a_wait_c = b_wait = b_wait_c = a_agent = a_agent_c = b_agent = b_agent_c = t_last = 0.0
+    a_matched = b_matched = perished = max_gap = 0
 
     while True:
-        arriving = not heap or (next_arrival, n) <= heap[0]
-        t = next_arrival if arriving else heap[0][0]
+        arriving = not queue or (next_arrival, n) <= queue[0]
+        t = next_arrival if arriving else queue[0][0]
         if t > T:
             break
-        for side in sides:
-            side.advance(t)
+        if t > t_last:
+            y = len(a_ids) * (t - t_last) - a_wait_c
+            a_wait, a_wait_c = a_wait + y, (a_wait + y - a_wait) - y
+            y = len(b_ids) * (t - t_last) - b_wait_c
+            b_wait, b_wait_c = b_wait + y, (b_wait + y - b_wait) - y
+            t_last = t
 
         if arriving:
             n += 1
             s = draw_sojourn(sojourns)
             arrival.append(t)
             matched.append(0)
-            next_arrival = next(arrivals)
+            next_arrival = arrivals()
 
-            # side j's hits are the shared offsets below its pool size
-            hits = query(n, max(perishing.ids, never.ids, key=len))
-            for side in sides:
-                ids = side.ids
-                k = bisect_left(hits, len(ids))
-                if k:
-                    j = hits[int(tiebreak(k))]
-                    partner_id = ids[j]
-                    del ids[j]
-                    side.agent_wait.add(t - arrival[partner_id])
-                    side.matched += 2
-                    if side is perishing:
-                        matched[partner_id] = 1
-                else:
-                    ids.append(n)
-                    if side is perishing and math.isfinite(t + s):
-                        heappush(heap, (t + s, n))
+            # each pool's hits are the shared offsets below its size
+            hits = query(n, a_ids if len(a_ids) >= len(b_ids) else b_ids)
+            k = bisect_left(hits, len(a_ids))
+            if k:
+                partner_id = a_ids.pop(hits[tiebreak(k)])
+                matched[partner_id] = 1
+                y = t - arrival[partner_id] - a_agent_c
+                a_agent, a_agent_c = a_agent + y, (a_agent + y - a_agent) - y
+                a_matched += 2
+            else:
+                a_ids.append(n)
+                if math.isfinite(t + s):
+                    push((t + s, n))
+            k = bisect_left(hits, len(b_ids))
+            if k:
+                partner_id = b_ids.pop(hits[tiebreak(k)])
+                y = t - arrival[partner_id] - b_agent_c
+                b_agent, b_agent_c = b_agent + y, (b_agent + y - b_agent) - y
+                b_matched += 2
+            else:
+                b_ids.append(n)
         else:
-            aid = heappop(heap)[1]
+            aid = pop()[1]
             if matched[aid]:
                 continue
-            ids = perishing.ids
-            del ids[bisect_left(ids, aid)]
-            perishing.agent_wait.add(t - arrival[aid])
-            perishing.perished += 1
+            del a_ids[bisect_left(a_ids, aid)]
+            y = t - arrival[aid] - a_agent_c
+            a_agent, a_agent_c = a_agent + y, (a_agent + y - a_agent) - y
+            perished += 1
 
-        max_gap = max(max_gap, len(perishing.ids) - len(never.ids))
-        for side in sides:
-            side.mark(t)
+        max_gap = max(max_gap, len(a_ids) - len(b_ids))
+        if a_traj is not None:
+            if a_traj[-1][1] != len(a_ids):
+                a_traj.append((t, len(a_ids)))
+            if b_traj[-1][1] != len(b_ids):
+                b_traj.append((t, len(b_ids)))
 
-    for side in sides:
-        side.advance(T)
-        for aid in side.ids:
-            side.agent_wait.add(T - arrival[aid])
-
+    if T > t_last:
+        a_wait += len(a_ids) * (T - t_last) - a_wait_c
+        b_wait += len(b_ids) * (T - t_last) - b_wait_c
+    a_agent = _kahan_extend(a_agent, a_agent_c, [T - arrival[aid] for aid in a_ids])
+    b_agent = _kahan_extend(b_agent, b_agent_c, [T - arrival[aid] for aid in b_ids])
     return (
-        perishing.stats(config, departure.kind, n, len(perishing.ids)),
-        never.stats(config, "never", n, len(never.ids)),
+        _Pool(a_matched, perished, a_wait, a_agent, a_traj).stats(config, departure.kind, n, len(a_ids)),
+        _Pool(b_matched, 0, b_wait, b_agent, b_traj).stats(config, "never", n, len(b_ids)),
         max_gap,
     )
 

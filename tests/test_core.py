@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -36,6 +37,7 @@ from dynmatch.core import (
     parse_departure_flag,
     sample_interarrival,
     sample_sojourn,
+    tiebreaks,
     uniforms,
 )
 
@@ -247,6 +249,26 @@ class TestBlockUniforms:
         for _ in range(n):
             t = t + sample_interarrival(3.0, scalar)
             assert next(times) == t
+
+
+class TestTiebreaks:
+    # numpy's bounded-integer path is not part of its stable API: if an
+    # upgrade changes it, these tests fail and the engine's tie-breaks with them
+    FIXED_K = [1, 2, 3, 1000, 2**31 + 1, 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    def test_equal_to_generator_integers_across_refills(self, seed):
+        ks = np.random.default_rng(seed).integers(1, 2**32, 4000).tolist()
+        ks = [k for pair in zip(itertools.cycle(self.FIXED_K), ks) for k in pair]
+        draw, reference = tiebreaks(rng(seed)), rng(seed)
+        # one 32-bit half per draw (more on a redraw): past three blocks of raw words
+        assert len(ks) > 3 * 2 * core._UNIFORM_BLOCK
+        assert [draw(k) for k in ks] == [int(reference.integers(k)) for k in ks]
+
+    @pytest.mark.parametrize("k", [0, -1, 2**32, 2**40])
+    def test_out_of_range_refused(self, k):
+        with pytest.raises(DomainError):
+            tiebreaks(rng(1))(k)
 
 
 class TestSeeding:

@@ -3,6 +3,7 @@ coupled pools, and the patient-run instrumentation."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -260,6 +261,38 @@ class TestEventOrder:
             assert (stats.arrivals, stats.matched, stats.perished, stats.pool_at_T) == (10, 10, 0, 0)
             assert stats.pool_trajectory == alternating
         assert gap == 0
+
+    # A Constant sojourn sends criticality events through a FIFO queue, any
+    # other departure through the heap.  A one-component mixture of the same
+    # constant spends one sojourn-stream uniform on its pick, which no other
+    # draw reads, so its sample path is the same and only its kind differs.
+    @staticmethod
+    def fifo_and_heap(c: float, ties: bool, request) -> list[MarketConfig]:
+        if ties:
+            request.getfixturevalue("unit_gaps")
+        market = dict(m=5.0, d=2.0, T=40.5) if ties else dict(m=200.0, d=3.0, T=10.0)
+        return [config(departure=dep, seed=3, **market) for dep in (Constant(c), Mixture(((1.0, Constant(c)),)))]
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["poisson", "unit-gaps"])
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.value)
+    def test_fifo_queue_equals_heap(self, policy, c, ties, request):
+        fifo, heap = (
+            run(dataclasses.replace(cfg, policy=policy), keep_agents=True)
+            for cfg in self.fifo_and_heap(c, ties, request)
+        )
+        assert (fifo.departure_kind, heap.departure_kind) == ("constant", "mixture")
+        assert fifo.total_wait.hex() == heap.total_wait.hex()
+        # repr shows every float exactly: counts, trajectory and agents bit for bit
+        assert repr(dataclasses.replace(fifo, departure_kind="mixture")) == repr(heap)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["poisson", "unit-gaps"])
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_coupled_fifo_queue_equals_heap(self, c, ties, request):
+        fifo, heap = (run_coupled(cfg) for cfg in self.fifo_and_heap(c, ties, request))
+        assert (fifo[0].departure_kind, heap[0].departure_kind) == ("constant", "mixture")
+        assert fifo[0].total_wait.hex() == heap[0].total_wait.hex()
+        assert repr((dataclasses.replace(fifo[0], departure_kind="mixture"), *fifo[1:])) == repr(heap)
 
     # (arrivals, matched, perished, pool_at_T, total_wait.hex(), trajectory
     # length) at m=200, d=3, T=10, seed 7.  A change of engine that alters

@@ -31,6 +31,21 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_engine_makes_no_scalar_draws():
+    # the event loops draw through core's block streams (uniforms, arrival
+    # times, tie-breaks, query_block); a Generator's per-call integers() or
+    # random(), called or bound for later calls, would quietly undo that
+    tree = ast.parse((SRC / "engine.py").read_text())
+    block_draws = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call) and node.args}
+    found = [
+        f"engine.py:{node.lineno} .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (node.attr == "integers" or node.attr == "random" and id(node) not in block_draws)
+    ]
+    assert not found, f"scalar numpy draws in the engine: {found}"
+
+
 def _load_perfbench(name: str, monkeypatch):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
