@@ -43,6 +43,7 @@ from .core import (
     parse_departure_flag,
 )
 from .engine import (
+    ENGINE_VERSION,
     RUN_CSV_COLUMNS,
     RunStats,
     instrument_patient_k1,
@@ -211,7 +212,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stats = run(config, burn_in=args.burn_in)
     if args.trace_out:
         _write_csv(Path(args.trace_out), ("time", "size"), stats.pool_trajectory)
-    json.dump(stats.to_json_dict(), sys.stdout, indent=2)
+    json.dump(stats.to_json_dict() | {"engine_version": ENGINE_VERSION}, sys.stdout, indent=2)
     print()
     return 0
 

@@ -263,7 +263,9 @@ def sample_interarrival(m: float, rng: np.random.Generator) -> float:
 
 # Uniforms per block of a drawn stream; private, they change no output bit.
 _UNIFORM_BLOCK = 1024
-_COMPAT_BLOCK = 8192
+# Geometric gaps per block of the compatibility stream; private too, since a
+# block holds the draws of as many scalar ``rng.geometric(p)`` calls.
+_COMPAT_BLOCK = 1024
 
 
 def uniforms(rng: np.random.Generator) -> Iterator[float]:
@@ -434,10 +436,14 @@ class PairCompatibilityOracle:
     criticality under patient matching.  Each pair is queried at most once
     per run, so lazy drawing is distributionally exact.
 
-    All queries share one stream of scalar ``rng.random()`` draws: a query
-    of n members uses the next n, and its hits are the draws below ``p``.
-    Draws come a block at a time, at most one block past the queried
-    positions, so the oracle must be the only consumer of ``rng``.
+    All queries share one Bernoulli(p) sequence: a query of n members takes
+    its next n positions.  The oracle draws only the positions of the hits,
+    as running sums of Geometric(p) gaps (the Bernoulli-skip method of
+    Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005), so a query costs
+    per hit rather than per pair.  Gaps come a block at a time, at most one
+    block past the queried positions, so the oracle must be the only
+    consumer of ``rng``.  The sums are Python ints and cannot wrap; numpy
+    caps a gap at 2^63 - 1, past any position a run can reach.
     """
 
     __slots__ = ("rng", "p", "_hits", "_next", "_pos", "_drawn")
@@ -450,20 +456,22 @@ class PairCompatibilityOracle:
         self._hits: list[int] = []  # ascending positions of the hits drawn so far
         self._next = 0  # index in _hits of the first hit at or after _pos
         self._pos = 0  # position of the next draw to use
-        self._drawn = 0  # draws made so far
+        self._drawn = 0  # positions decided so far: one past the last hit drawn
 
     def query_block(self, agent_id: int, member_ids: Sequence[int]) -> list[int]:
-        """Query one agent against a block of pool members, one draw each.
+        """Query one agent against a block of pool members, one position each.
 
         Returns the ascending offsets into ``member_ids`` of the compatible
-        members: the positions of ``rng.random(len(member_ids)) < p``."""
+        members: each is a hit with probability ``p``, independently."""
         begin = self._pos
         end = self._pos = begin + len(member_ids)
         if self._drawn < end:  # drop the used hits, then add the next blocks' hits
             self._hits, self._next = self._hits[self._next:], 0
             while self._drawn < end:
-                self._hits += (np.flatnonzero(self.rng.random(_COMPAT_BLOCK) < self.p) + self._drawn).tolist()
-                self._drawn += _COMPAT_BLOCK
+                gaps = self.rng.geometric(self.p, _COMPAT_BLOCK).tolist()
+                gaps[0] += self._drawn - 1  # the first gap counts from the last hit
+                self._hits += accumulate(gaps)
+                self._drawn = self._hits[-1] + 1
         hits, i = self._hits, self._next
         if i == len(hits) or hits[i] >= end:
             return []

@@ -47,6 +47,11 @@ from .core import (
     uniforms,
 )
 
+# Version of the engine's sample paths: within one version a seed fixes every
+# output bit.  2 draws compatibility as geometric gaps between hits, where 1
+# drew one uniform per pair.
+ENGINE_VERSION = 2
+
 # Outcome codes of the per-agent ``bytearray`` in ``run``, as plain ints: an
 # enum member lookup costs more than the loop step that reads it.
 _UNRESOLVED = int(AgentOutcome.UNRESOLVED)

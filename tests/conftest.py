@@ -3,10 +3,64 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Sequence
 
 import numpy as np
+import pytest
 
+import dynmatch.engine as engine
 from dynmatch.analytics import ChainParams
+from dynmatch.core import ConfigError
+
+# Uniforms per block of the reference oracle's stream; they change no output bit.
+REFERENCE_BLOCK = 8192
+
+
+class ReferenceOracle:
+    """The engine-v1 compatibility oracle, kept as the reference for v2.
+
+    All queries share one stream of scalar ``rng.random()`` draws: a query
+    of n members uses the next n, and its hits are the draws below ``p``.
+    Draws come a block at a time, at most one block past the queried
+    positions, so the oracle must be the only consumer of ``rng``.
+    """
+
+    __slots__ = ("rng", "p", "_hits", "_next", "_pos", "_drawn")
+
+    def __init__(self, rng: np.random.Generator, p: float) -> None:
+        if not 0 < p <= 1:
+            raise ConfigError(f"compatibility probability must be in (0, 1], got {p}")
+        self.rng = rng
+        self.p = p
+        self._hits: list[int] = []  # ascending positions of the hits drawn so far
+        self._next = 0  # index in _hits of the first hit at or after _pos
+        self._pos = 0  # position of the next draw to use
+        self._drawn = 0  # draws made so far
+
+    def query_block(self, agent_id: int, member_ids: Sequence[int]) -> list[int]:
+        """Query one agent against a block of pool members, one draw each.
+
+        Returns the ascending offsets into ``member_ids`` of the compatible
+        members: the positions of ``rng.random(len(member_ids)) < p``."""
+        begin = self._pos
+        end = self._pos = begin + len(member_ids)
+        if self._drawn < end:  # drop the used hits, then add the next blocks' hits
+            self._hits, self._next = self._hits[self._next:], 0
+            while self._drawn < end:
+                self._hits += (np.flatnonzero(self.rng.random(REFERENCE_BLOCK) < self.p) + self._drawn).tolist()
+                self._drawn += REFERENCE_BLOCK
+        hits, i = self._hits, self._next
+        if i == len(hits) or hits[i] >= end:
+            return []
+        j = self._next = bisect_left(hits, end, i)
+        return [h - begin for h in hits[i:j]]
+
+
+@pytest.fixture
+def reference_oracle(monkeypatch):
+    """Run the engine on the v1 (one uniform per pair) compatibility oracle."""
+    monkeypatch.setattr(engine, "PairCompatibilityOracle", ReferenceOracle)
 
 
 def dense_stationary_solve(params: ChainParams, K: int) -> np.ndarray:
@@ -78,8 +132,18 @@ def ks_statistic(samples: np.ndarray, cdf, tol: float = 1e-9) -> float:
     )
 
 
-def ks_critical(n: int, alpha: float) -> float:
-    """Conservative two-sided KS critical value (DKW inequality)."""
+def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample KS distance: the largest gap between the two empirical
+    CDFs, taken at every sample value (ties included)."""
+    values = np.union1d(a, b)
+    fa = np.searchsorted(np.sort(a), values, side="right") / a.size
+    fb = np.searchsorted(np.sort(b), values, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+def ks_critical(n: float, alpha: float) -> float:
+    """Conservative two-sided KS critical value (DKW inequality); for two
+    samples of sizes n1 and n2, pass n = n1 n2 / (n1 + n2)."""
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from dynmatch import analytics, cli
+from dynmatch import analytics, cli, engine
 from dynmatch.cli import (
     SweepSpec,
     main,
@@ -44,6 +44,16 @@ class TestSimulate:
         assert payload["arrivals"] == payload["matched"] + payload["perished"] + payload["pool_at_T"]
         assert payload["policy"] == "greedy"
         assert "n_runs" not in payload
+        assert payload["engine_version"] == engine.ENGINE_VERSION == 2
+
+    def test_tiny_density_runs_without_a_match(self, capsys):
+        # p = 1e-300: numpy caps every geometric gap, far past any queried pair;
+        # under never-perish each arrival queries every earlier one
+        code, out = run_cli(capsys, "simulate", "--m", "1", "--d", "1e-300", "--T", "5", "--departure", "never")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["arrivals"] > 1 and payload["matched"] == 0
+        assert payload["pool_at_T"] == payload["arrivals"]
 
     def test_never_perish_has_zero_perished(self, capsys):
         code, out = run_cli(

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynmatch.core as core
-from conftest import ks_critical, ks_statistic
+import scipy.stats
+from conftest import REFERENCE_BLOCK, ReferenceOracle, ks_critical, ks_statistic
 from dynmatch.core import (
     DEPARTURE_VARIANTS,
     ConfigError,
@@ -202,11 +203,11 @@ class TestCompatibilityOracle:
 
     @pytest.mark.parametrize("p", [0.05, 1.0, 1e-4, 1e-6])
     def test_hit_offsets_equal_scalar_reference(self, p):
-        # one query larger than a block, the rest crossing block boundaries;
-        # the small p leave whole blocks without a hit
-        sizes = [0, 1, 5, 300, 3, core._COMPAT_BLOCK + 1000, 0, 2, 4000, 7000, 17, 9000, 1]
-        assert sum(sizes) > 3 * core._COMPAT_BLOCK
-        oracle = PairCompatibilityOracle(rng(6), p)
+        # the v1 reference oracle: one query larger than a block, the rest
+        # crossing block boundaries; the small p leave whole blocks without a hit
+        sizes = [0, 1, 5, 300, 3, REFERENCE_BLOCK + 1000, 0, 2, 4000, 7000, 17, 9000, 1]
+        assert sum(sizes) > 3 * REFERENCE_BLOCK
+        oracle = ReferenceOracle(rng(6), p)
         reference = rng(6)
         for k in sizes:
             offsets = oracle.query_block(1, range(k))
@@ -221,12 +222,89 @@ class TestCompatibilityOracle:
                 return np.ones(n)
 
         stub = NoHits()
-        oracle = PairCompatibilityOracle(stub, 0.5)
+        oracle = ReferenceOracle(stub, 0.5)
         drawn = 0
-        for k in [0, 1, core._COMPAT_BLOCK - 1, 0, 1, 5, 3 * core._COMPAT_BLOCK, 2, core._COMPAT_BLOCK]:
+        for k in [0, 1, REFERENCE_BLOCK - 1, 0, 1, 5, 3 * REFERENCE_BLOCK, 2, REFERENCE_BLOCK]:
             assert oracle.query_block(1, range(k)) == []
             drawn += k
-            assert stub.calls == math.ceil(drawn / core._COMPAT_BLOCK)
+            assert stub.calls == math.ceil(drawn / REFERENCE_BLOCK)
+
+    @pytest.mark.parametrize("p", [1.0, 0.05, 1e-4, 1e-6])
+    def test_hit_positions_equal_cumulative_geometric_gaps(self, p):
+        # queries of len(range(k)) members, crossing gap blocks; a query of
+        # about a block's span, the rest small or splitting blocks
+        span = core._COMPAT_BLOCK / p
+        sizes = [0, 1, 5, 300, 3, round(1.2 * span), 0, 2, round(0.01 * span), round(0.9 * span), 17,
+                 round(1.5 * span), 1]
+        assert sum(sizes) > 3 * span
+        oracle = PairCompatibilityOracle(rng(6), p)
+        gaps = rng(6)
+        hit = gaps.geometric(p) - 1  # absolute position of the next hit
+        begin = 0
+        for k in sizes:
+            expected = []
+            while hit < begin + k:
+                expected.append(hit - begin)
+                hit += gaps.geometric(p)
+            assert oracle.query_block(1, range(k)) == expected
+            begin += k
+
+    def test_draws_at_most_one_block_of_gaps_past_the_queries(self):
+        class EveryThird:
+            calls = 0
+
+            def geometric(self, p, n):
+                self.calls += 1
+                return np.full(n, 3)
+
+        stub = EveryThird()
+        oracle = PairCompatibilityOracle(stub, 0.5)
+        span = 3 * core._COMPAT_BLOCK  # positions one block of gaps decides
+        drawn = 0
+        for k in [0, 1, span - 1, span, 0, 1, 5, 3 * span, 2, span, 4]:
+            assert oracle.query_block(1, range(k)) == [h for h in range(k) if (drawn + h) % 3 == 2]
+            drawn += k
+            assert stub.calls == math.ceil(drawn / span)
+
+    @pytest.mark.parametrize("p", [1e-18, 1e-300, 5e-324])
+    def test_tiny_probability_finds_no_hit(self, p):
+        # numpy caps such gaps at 2^63 - 1, and int64 running sums of them wrap
+        oracle = PairCompatibilityOracle(rng(3), p)
+        for k in [0, 1, 5, core._COMPAT_BLOCK, 2 * core._COMPAT_BLOCK + 7, 10**12, 3]:
+            assert oracle.query_block(1, range(k)) == []
+        hits = oracle._hits
+        assert hits and hits[0] >= 0 and all(a < b for a, b in zip(hits, hits[1:]))
+
+    @pytest.mark.parametrize("p", [0.5, 0.05, 1e-3])
+    def test_gaps_are_geometric(self, p):
+        oracle, sizes = PairCompatibilityOracle(rng(12), p), rng(13)
+        positions, begin = [], 0
+        while len(positions) < 20_000:
+            k = int(sizes.integers(1, 5 / p))
+            positions += [begin + h for h in oracle.query_block(1, range(k))]
+            begin += k
+        gaps = np.diff(np.array(positions), prepend=-1)
+        cdf = lambda x: -math.expm1(math.floor(x) * math.log1p(-p))  # noqa: E731
+        assert ks_statistic(gaps, cdf) < ks_critical(gaps.size, 1e-3)
+
+    @pytest.mark.parametrize("p, n", [(0.5, 10), (0.05, 60), (1e-3, 3000)])
+    def test_hits_per_query_are_binomial(self, p, n):
+        oracle = PairCompatibilityOracle(rng(14), p)
+        queries = 4000
+        counts = np.bincount([len(oracle.query_block(1, range(n))) for _ in range(queries)], minlength=n + 1)
+        # pool the tail where the expected count falls below 5
+        expected = queries * scipy.stats.binom.pmf(np.arange(n + 1), n, p)
+        keep = np.flatnonzero(expected >= 5)
+        lo, hi = keep[0], keep[-1]
+        observed = np.r_[counts[:lo + 1].sum(), counts[lo + 1:hi], counts[hi:].sum()]
+        expected = np.r_[expected[:lo + 1].sum(), expected[lo + 1:hi], expected[hi:].sum()]
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 < scipy.stats.chi2.ppf(1 - 1e-3, observed.size - 1)
+
+    def test_full_density_returns_every_offset(self):
+        oracle = PairCompatibilityOracle(rng(15), 1.0)
+        for k in [0, 1, 7, core._COMPAT_BLOCK + 3, 0, 2 * core._COMPAT_BLOCK, 5]:
+            assert oracle.query_block(1, range(k)) == list(range(k))
 
 
 class TestBlockUniforms:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynmatch.engine as engine
-from conftest import pooled_se
+from conftest import ReferenceOracle, ks_critical, ks_two_sample, pooled_se
 from dynmatch import (
     AgentOutcome,
     ConfigError,
@@ -204,6 +204,15 @@ class TestRunProperties:
     )
     @settings(max_examples=150, deadline=None)
     def test_invariants_on_random_markets(self, cfg, burn_in):
+        # under the engine's oracle and the v1 reference; Hypothesis refuses
+        # function-scoped fixtures, so the patch is made here
+        for oracle in (PairCompatibilityOracle, ReferenceOracle):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "PairCompatibilityOracle", oracle)
+                self.check_invariants(cfg, burn_in)
+
+    @staticmethod
+    def check_invariants(cfg: MarketConfig, burn_in: float) -> None:
         stats = run(cfg, keep_agents=True, burn_in=burn_in)
         assert stats.arrivals == stats.matched + stats.perished + stats.pool_at_T
         assert run(cfg, keep_agents=True, burn_in=burn_in) == stats
@@ -218,6 +227,52 @@ class TestRunProperties:
         if burn_in == 0.0:
             per_agent = math.fsum(min(a.outcome_time, cfg.T) - a.arrival_time for a in stats.agents)
             assert abs(pool_integral(stats.pool_trajectory, cfg.T) - per_agent) <= 1e-9
+
+
+class TestEquivalenceToReference:
+    """Engine v2 against the v1 reference oracle, in law: over 200 seeds of a
+    small market per policy and departure, a two-sample KS test at level
+    1e-3 and a z-test of the means on each statistic.  The two sides take
+    disjoint seeds, so their samples are independent."""
+
+    SEEDS = 200
+    MARKET = dict(m=40.0, d=3.0, T=5.0, pool_trace=False)
+    DEPARTURES = {
+        "const:1": Constant(1.0),
+        "exp:1": Exponential(1.0),
+        "unif:0.5:1.5": Uniform(0.5, 1.5),
+        "mix": Mixture(((0.6, Constant(0.5)), (0.4, Exponential(2.0)))),
+    }
+
+    @staticmethod
+    def assert_same_law(name: str, v2: np.ndarray, v1: np.ndarray) -> None:
+        n = v2.size * v1.size / (v2.size + v1.size)
+        assert ks_two_sample(v2, v1) < ks_critical(n, 1e-3), name
+        se = pooled_se(v2, v1)
+        assert (abs(v2.mean() - v1.mean()) < 4 * se) if se > 0 else v2.mean() == v1.mean(), name
+
+    def samples(self, request, call, **cfg) -> tuple[np.ndarray, np.ndarray]:
+        """``call(config(seed=...))`` over SEEDS seeds on v2, then on the reference."""
+        v2 = [call(config(**self.MARKET, **cfg, seed=mix_seed(1, i))) for i in range(self.SEEDS)]
+        request.getfixturevalue("reference_oracle")
+        v1 = [call(config(**self.MARKET, **cfg, seed=mix_seed(2, i))) for i in range(self.SEEDS)]
+        return np.array(v2, dtype=float), np.array(v1, dtype=float)
+
+    @pytest.mark.parametrize("departure", sorted(DEPARTURES))
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.value)
+    def test_run_statistics(self, policy, departure, request):
+        def statistics(cfg):
+            stats = run(cfg)
+            return stats.loss, stats.avg_wait, stats.pool_at_T
+
+        v2, v1 = self.samples(request, statistics, policy=policy, departure=self.DEPARTURES[departure])
+        for col, name in enumerate(("loss", "avg_wait", "pool_at_T")):
+            self.assert_same_law(name, v2[:, col], v1[:, col])
+
+    @pytest.mark.parametrize("departure", ["const:1", "exp:1"])
+    def test_coupled_gap(self, departure, request):
+        v2, v1 = self.samples(request, lambda cfg: run_coupled(cfg)[2], departure=self.DEPARTURES[departure])
+        self.assert_same_law("gap", v2, v1)
 
 
 class TestEventOrder:
@@ -296,7 +351,9 @@ class TestEventOrder:
 
     # (arrivals, matched, perished, pool_at_T, total_wait.hex(), trajectory
     # length) at m=200, d=3, T=10, seed 7.  A change of engine that alters
-    # a sample path updates these together with its version.
+    # a sample path updates these together with its version.  The unsuffixed
+    # tables pin engine v1 and run on the reference oracle; the _V2 tables pin
+    # the engine as it is.
     GOLDEN_DEPARTURES = {
         "const:1": Constant(1.0),
         "exp:1": Exponential(1.0),
@@ -321,11 +378,33 @@ class TestEventOrder:
         ("greedy-sojourn", "never"): (2070, 2020, 0, 50, "0x1.aee9f06e31533p+8", 2071),
         ("greedy-sojourn", "mix"): (2070, 1990, 37, 43, "0x1.a77cdd9ce0eccp+8", 2108),
     }
+    GOLDEN_RUN_V2 = {
+        ("greedy", "const:1"): (2070, 1932, 96, 42, "0x1.9f03dabbd1318p+8", 2167),
+        ("greedy", "exp:1"): (2070, 1694, 334, 42, "0x1.5e0c7d89bc71bp+8", 2405),
+        ("greedy", "unif:0.5:1.5"): (2070, 1900, 124, 46, "0x1.a44217d3d6600p+8", 2195),
+        ("greedy", "never"): (2070, 2028, 0, 42, "0x1.cc07a5e239aeap+8", 2071),
+        ("greedy", "mix"): (2070, 1948, 73, 49, "0x1.ad2dd7dc3ae07p+8", 2144),
+        ("patient", "const:1"): (2070, 1804, 105, 161, "0x1.718c9918e811fp+10", 3078),
+        ("patient", "exp:1"): (2070, 1710, 230, 130, "0x1.059eb16a016ecp+10", 3156),
+        ("patient", "unif:0.5:1.5"): (2070, 1780, 120, 170, "0x1.6a79e4fc8b018p+10", 3081),
+        ("patient", "never"): (2070, 0, 0, 2070, "0x1.457bc01cf7f99p+13", 2071),
+        ("patient", "mix"): (2070, 1778, 45, 247, "0x1.05f9f645299a3p+11", 3005),
+        ("greedy-sojourn", "const:1"): (2070, 1956, 69, 45, "0x1.b0d6c9ebd7413p+8", 2140),
+        ("greedy-sojourn", "exp:1"): (2070, 1740, 292, 38, "0x1.65ad82c2c8e74p+8", 2363),
+        ("greedy-sojourn", "unif:0.5:1.5"): (2070, 1934, 90, 46, "0x1.b33817be7292ep+8", 2161),
+        ("greedy-sojourn", "never"): (2070, 2028, 0, 42, "0x1.cc07a5e239aeap+8", 2071),
+        ("greedy-sojourn", "mix"): (2070, 1980, 42, 48, "0x1.bb692a683a440p+8", 2113),
+    }
     # the same market at burn_in = 2, where total_wait is the window agents' sum
     GOLDEN_BURN_IN = {
         ("greedy", "const:1"): (2037, 1893, 95, 49, "0x1.a0053addb97c9p+8", 2566),
         ("patient", "const:1"): (2037, 1782, 113, 142, "0x1.6b58c9b585a8ep+10", 3678),
         ("greedy-sojourn", "const:1"): (2037, 1917, 75, 45, "0x1.9e250d8054f8cp+8", 2542),
+    }
+    GOLDEN_BURN_IN_V2 = {
+        ("greedy", "const:1"): (2037, 1892, 108, 37, "0x1.9ba11d007f7bfp+8", 2582),
+        ("patient", "const:1"): (2037, 1783, 117, 137, "0x1.671bf996fd6d1p+10", 3681),
+        ("greedy-sojourn", "const:1"): (2037, 1926, 73, 38, "0x1.ad27d39bf5596p+8", 2541),
     }
     NEVER_SIDE = (2070, 2020, 0, 50, "0x1.aee9f06e31533p+8", 2071)
     GOLDEN_COUPLED = {
@@ -334,6 +413,18 @@ class TestEventOrder:
         "unif:0.5:1.5": (2070, 1898, 126, 46, "0x1.8738fffc9e3bcp+8", 2197),
         "never": NEVER_SIDE,
         "mix": (2070, 1954, 67, 49, "0x1.984b560bff4ecp+8", 2138),
+    }
+    # (perishing side, never side, gap): where the perishing pool is the
+    # larger one, its longer query moves the never side off a plain run's path
+    NEVER_SIDE_V2 = (2070, 2028, 0, 42, "0x1.cc07a5e239aeap+8", 2071)
+    GOLDEN_COUPLED_V2 = {
+        "const:1": ((2070, 1914, 112, 44, "0x1.acf1ae315743bp+8", 2183),
+                    (2070, 2022, 0, 48, "0x1.ce191df739023p+8", 2071), 1),
+        "exp:1": ((2070, 1666, 367, 37, "0x1.5deba1260c3c1p+8", 2438), NEVER_SIDE_V2, 0),
+        "unif:0.5:1.5": ((2070, 1896, 136, 38, "0x1.a117fb57fc4f0p+8", 2207), NEVER_SIDE_V2, 0),
+        "never": (NEVER_SIDE_V2, NEVER_SIDE_V2, 0),
+        "mix": ((2070, 1960, 65, 45, "0x1.b53119b614988p+8", 2136),
+                (2070, 2022, 0, 48, "0x1.c69d90e80b946p+8", 2071), 1),
     }
 
     @staticmethod
@@ -355,9 +446,14 @@ class TestEventOrder:
         "patient": "0adbeed2630c50f2fb363ba7c6ad2bd9ff5e783241f7225ed82ab510ac6e4784",
         "greedy-sojourn": "48485001f9176bdc0e874623a4269f673fdf46c19c6147c22b279eaf5dde0461",
     }
+    GOLDEN_AGENTS_V2 = {
+        "greedy": "ee0ac11c5066fdaf7029d080183e54abbaa0a40e263bdfa19ce5c75fd0b598bb",
+        "patient": "883feb6ace3e6be2123eb2fb2b10a2ca25add1208a55da3fe5754e9cf97cdee4",
+        "greedy-sojourn": "66dd101ed19d9f30a9f7efec5404e268501c68c08e9fcc91cabe8920707d7cde",
+    }
 
-    @pytest.mark.parametrize("policy", sorted(GOLDEN_AGENTS))
-    def test_run_golden_agents(self, policy):
+    @staticmethod
+    def agents_digest(policy: str) -> str:
         stats = run(config(policy=PolicyKind(policy), seed=7), keep_agents=True)
         records = [
             (a.id, a.arrival_time.hex(), a.critical_time.hex(), int(a.outcome), a.partner_id,
@@ -365,24 +461,51 @@ class TestEventOrder:
             for a in stats.agents
         ]
         assert len(records) == stats.arrivals == 2070
-        assert hashlib.sha256(repr(records).encode()).hexdigest() == self.GOLDEN_AGENTS[policy]
+        return hashlib.sha256(repr(records).encode()).hexdigest()
 
+    def golden_run(self, policy: str, departure: str, burn_in: float = 0.0) -> tuple:
+        cfg = config(policy=PolicyKind(policy), departure=self.GOLDEN_DEPARTURES[departure], seed=7)
+        return self.fingerprint(run(cfg, burn_in=burn_in))
+
+    def golden_coupled(self, departure: str) -> tuple:
+        stats_a, stats_b, gap = run_coupled(config(departure=self.GOLDEN_DEPARTURES[departure], seed=7))
+        return self.fingerprint(stats_a), self.fingerprint(stats_b), gap
+
+    @pytest.mark.usefixtures("reference_oracle")
+    @pytest.mark.parametrize("policy", sorted(GOLDEN_AGENTS))
+    def test_run_golden_agents(self, policy):
+        assert self.agents_digest(policy) == self.GOLDEN_AGENTS[policy]
+
+    @pytest.mark.usefixtures("reference_oracle")
     @pytest.mark.parametrize("policy, departure", sorted(GOLDEN_RUN))
     def test_run_golden(self, policy, departure):
-        cfg = config(policy=PolicyKind(policy), departure=self.GOLDEN_DEPARTURES[departure], seed=7)
-        assert self.fingerprint(run(cfg)) == self.GOLDEN_RUN[policy, departure]
+        assert self.golden_run(policy, departure) == self.GOLDEN_RUN[policy, departure]
 
+    @pytest.mark.usefixtures("reference_oracle")
     @pytest.mark.parametrize("policy, departure", sorted(GOLDEN_BURN_IN))
     def test_run_golden_burn_in(self, policy, departure):
-        cfg = config(policy=PolicyKind(policy), departure=self.GOLDEN_DEPARTURES[departure], seed=7)
-        assert self.fingerprint(run(cfg, burn_in=2.0)) == self.GOLDEN_BURN_IN[policy, departure]
+        assert self.golden_run(policy, departure, burn_in=2.0) == self.GOLDEN_BURN_IN[policy, departure]
 
+    @pytest.mark.usefixtures("reference_oracle")
     @pytest.mark.parametrize("departure", sorted(GOLDEN_COUPLED))
     def test_run_coupled_golden(self, departure):
-        stats_a, stats_b, gap = run_coupled(config(departure=self.GOLDEN_DEPARTURES[departure], seed=7))
-        assert self.fingerprint(stats_a) == self.GOLDEN_COUPLED[departure]
-        assert self.fingerprint(stats_b) == self.NEVER_SIDE
-        assert gap == 0
+        assert self.golden_coupled(departure) == (self.GOLDEN_COUPLED[departure], self.NEVER_SIDE, 0)
+
+    @pytest.mark.parametrize("policy", sorted(GOLDEN_AGENTS_V2))
+    def test_run_golden_agents_v2(self, policy):
+        assert self.agents_digest(policy) == self.GOLDEN_AGENTS_V2[policy]
+
+    @pytest.mark.parametrize("policy, departure", sorted(GOLDEN_RUN_V2))
+    def test_run_golden_v2(self, policy, departure):
+        assert self.golden_run(policy, departure) == self.GOLDEN_RUN_V2[policy, departure]
+
+    @pytest.mark.parametrize("policy, departure", sorted(GOLDEN_BURN_IN_V2))
+    def test_run_golden_burn_in_v2(self, policy, departure):
+        assert self.golden_run(policy, departure, burn_in=2.0) == self.GOLDEN_BURN_IN_V2[policy, departure]
+
+    @pytest.mark.parametrize("departure", sorted(GOLDEN_COUPLED_V2))
+    def test_run_coupled_golden_v2(self, departure):
+        assert self.golden_coupled(departure) == self.GOLDEN_COUPLED_V2[departure]
 
 
 class TestPoolIntegral:

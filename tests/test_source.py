@@ -46,6 +46,32 @@ def test_engine_makes_no_scalar_draws():
     assert not found, f"scalar numpy draws in the engine: {found}"
 
 
+def test_one_compatibility_oracle_drawing_no_uniforms():
+    # engine v2 draws the hit positions as geometric gaps; a second class with
+    # a query_block, or a uniform per pair back in the one oracle, would fork
+    # the engine into two sample-path versions
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    oracles = [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "query_block" for f in node.body)
+    ]
+    assert oracles == [("core.py", "PairCompatibilityOracle")]
+    oracle = next(n for n in ast.walk(trees["core.py"]) if isinstance(n, ast.ClassDef) and n.name == oracles[0][1])
+    in_oracle = set(map(id, ast.walk(oracle)))
+    found = [
+        f"core.py:{node.lineno}"
+        for node in ast.walk(trees["core.py"])
+        if isinstance(node, ast.Attribute)
+        and node.attr == "random"
+        and not (isinstance(node.value, ast.Name) and node.value.id == "np")  # the module
+        and (id(node) in in_oracle or isinstance(node.value, ast.Attribute) and node.value.attr == "compatibility")
+    ]
+    assert not found, f"uniform draws on the compatibility stream: {found}"
+
+
 def _load_perfbench(name: str, monkeypatch):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
