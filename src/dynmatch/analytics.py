@@ -36,6 +36,11 @@ class ChainParams:
         return 1.0 - self.d / self.m
 
 
+def log_balance_ratio(k: int, log_q: float) -> float:
+    """log pi(k+1)/pi(k) = log(q^k / (1 - q^(k+1))), falling in k; stable near q = 0 and 1."""
+    return k * log_q - math.log(-math.expm1((k + 1) * log_q))
+
+
 @dataclass(frozen=True)
 class StationaryDistribution:
     """Truncated stationary law of the pool-size chain.
@@ -52,11 +57,18 @@ class StationaryDistribution:
     tail_bound: float
 
     def mass_above(self, x: float) -> float:
-        """Upper bound on the stationary mass of (x, inf)."""
+        """Upper bound on the stationary mass of (x, inf).  From k0 = floor(x) + 1 > K it is
+        pi(k0) / (1 - r(k0)) over the mass up to K, as past K the ratios r fall below 1/2."""
         k0 = int(math.floor(x)) + 1
-        if k0 > self.truncation_K:
-            return self.tail_bound
-        return float(self.probs[max(k0, 0) :].sum()) + self.tail_bound
+        if k0 <= self.truncation_K or self.tail_bound == 0.0:
+            return float(self.probs[max(k0, 0) :].sum()) + self.tail_bound
+        log_q = math.log1p(-self.params.d / self.params.m)
+        k, log_pi = self.truncation_K, float(self.log_probs[self.truncation_K])
+        while k < k0 and log_pi > -800.0:  # exp underflows to 0 below about -745
+            log_pi += log_balance_ratio(k, log_q)
+            k += 1
+        bound = math.exp(log_pi) / (1.0 - math.exp(log_balance_ratio(k, log_q)))
+        return min(self.tail_bound, bound / (1.0 - self.tail_bound))
 
     def quantile(self, q: float) -> int:
         if not 0 < q < 1:
@@ -64,15 +76,13 @@ class StationaryDistribution:
         return int(np.searchsorted(np.cumsum(self.probs), q))
 
 
-def stationary(
-    params: ChainParams, tail_tol: float = 1e-12, min_K: int | None = None
-) -> StationaryDistribution:
+def stationary(params: ChainParams, tail_tol: float = 1e-12) -> StationaryDistribution:
     """Stationary distribution by detailed balance, in log space.
 
-    K is the first size, from the first one with p_up < 1/3 and from
-    ``min_K``, whose certified geometric tail is below ``tail_tol`` relative
-    to the total mass.  Past p_up < 1/3 every balance ratio is below 1/2, so
-    K is at most ceil(-log2(tail_tol)) + 1 sizes past that start.
+    K is the first size, from the first one with p_up < 1/3, whose certified
+    geometric tail is below ``tail_tol`` relative to the total mass.  Past
+    p_up < 1/3 every balance ratio is below 1/2, so K is at most
+    ceil(-log2(tail_tol)) + 1 sizes past that start.
     """
     if not 0 < tail_tol < 1:
         raise DomainError(f"tail_tol must be in (0, 1), got {tail_tol}")
@@ -89,22 +99,16 @@ def stationary(
     k0 = max(int(math.log(3.0) / -log_q) - 1, 1) if log_q < -1e-7 else hard_cap + 1
     while k0 <= hard_cap + 1 and math.exp(k0 * log_q) >= 1.0 / 3.0:
         k0 += 1
-    start = max(k0, min_K or 0)
-    if start > hard_cap + 1:
+    if k0 > hard_cap + 1:
         raise DomainError(
             f"stationary chain at m={params.m}, d={params.d} needs more than {hard_cap} states"
         )
-    stop = start + math.ceil(-math.log2(tail_tol)) + 1
-    # log of rho(k+1)/rho(k) = p(k, k+1) / p(k+1, k); log(1 - q^(k+1)) is stable near 0 and 1
-    log_ratios = np.fromiter(
-        (k * log_q - math.log(-math.expm1((k + 1) * log_q)) for k in range(stop + 1)),
-        float,
-        stop + 1,
-    )
+    stop = k0 + math.ceil(-math.log2(tail_tol)) + 1
+    log_ratios = np.fromiter((log_balance_ratio(k, log_q) for k in range(stop + 1)), float, stop + 1)
     logs = np.zeros(stop + 1)
     np.cumsum(log_ratios[:-1], out=logs[1:])
     log_totals = np.logaddexp.accumulate(logs)
-    for k in range(start, stop + 1):
+    for k in range(k0, stop + 1):
         r = math.exp(log_ratios[k])
         log_tail = logs[k] + math.log(r) - math.log1p(-r) if r > 0.0 else -math.inf
         if log_tail - log_totals[k] <= math.log(tail_tol):
@@ -168,20 +172,17 @@ class TailDecayReport:
     passed: bool
 
 
-def stationary_tail_decay(params: ChainParams) -> TailDecayReport:
-    """Check the per-step tail decay of the stationary distribution.
+def stationary_tail_decay(dist: StationaryDistribution) -> TailDecayReport:
+    """Check the per-step tail decay of a stationary distribution.
 
     Beyond pool size c1*log(2)*m/d every balance ratio must fall below
     exp(-10/log m), and the mass above that threshold plus 1.5*log(m)^2
-    must not exceed m^-9.
-    """
-    m, d = params.m, params.d
+    must not exceed m^-9.  The ratios fall, so the largest is r(threshold), 0 at d = m."""
+    m, d = dist.params.m, dist.params.d
     consts = bound_constants(m, d)
     threshold = math.ceil(consts.c1 * math.log(2) * m / d)
     extended = consts.c1 * math.log(2) * m / d + 1.5 * math.log(m) ** 2
-    dist = stationary(params, min_K=int(extended) + 10)
-    ratios = np.exp(np.diff(dist.log_probs[threshold:]))
-    max_ratio = float(ratios.max()) if ratios.size else 0.0
+    max_ratio = math.exp(log_balance_ratio(threshold, math.log1p(-d / m))) if d < m else 0.0
     decay_bound = math.exp(-10.0 / math.log(m))
     mass_beyond = dist.mass_above(extended)
     mass_cap = m**-9

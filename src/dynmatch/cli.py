@@ -187,11 +187,13 @@ def write_summary_csv(summary: list[dict], path: Path) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> MarketConfig:
     if args.config:
-        with open(args.config) as fh:
-            try:
+        try:
+            with open(args.config) as fh:
                 data = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError(f"cannot parse {args.config} as JSON: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse {args.config} as JSON: {exc}") from None
         return MarketConfig.from_dict(data)
     if args.m is None or args.d is None or args.T is None:
         raise ConfigError("either --config or all of --m/--d/--T are required")
@@ -254,9 +256,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     pat_upper = analytics.pat_loss_upper(args.d) if departure == Constant(1.0) else None
     mass = departure_at_least(departure, eps)
     wait_lower, wait_upper = analytics.waiting_bounds(args.m, args.T, args.d, eps, mass)
-    # the chains come last; the tail-decay chain is the longer, so an over-long chain fails at once
-    decay = analytics.stationary_tail_decay(params) if args.m >= 100 else None
+    # every input is checked above, before the one chain is built
     dist = analytics.stationary(params, tail_tol=args.tail_tol)
+    decay = analytics.stationary_tail_decay(dist) if args.m >= 100 else None
 
     report = {
         "m": args.m,

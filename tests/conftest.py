@@ -90,9 +90,7 @@ def dense_stationary_solve(params: ChainParams, K: int) -> np.ndarray:
     return pi
 
 
-def stationary_by_steps(
-    params: ChainParams, tail_tol: float, min_K: int | None
-) -> tuple[int, float, np.ndarray]:
+def stationary_by_steps(params: ChainParams, tail_tol: float) -> tuple[int, float, np.ndarray]:
     """(K, tail_bound, log_probs) of analytics.stationary by its original
     size-by-size recursion, with the same float operations in the same
     order, for a chain with d < m that fits under the hard cap."""
@@ -105,7 +103,7 @@ def stationary_by_steps(
         logs.append(logs[-1] + log_ratio)
         k += 1
         log_total = float(np.logaddexp(log_total, logs[-1]))
-        if math.exp(k * log_q) < 1.0 / 3.0 and (min_K is None or k >= min_K):
+        if math.exp(k * log_q) < 1.0 / 3.0:
             r = math.exp(k * log_q - math.log(-math.expm1((k + 1) * log_q)))
             log_tail = logs[-1] + math.log(r) - math.log1p(-r) if r > 0.0 else -math.inf
             if log_tail - log_total <= math.log(tail_tol):

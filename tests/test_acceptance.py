@@ -303,7 +303,7 @@ def test_criterion_10_stationary_oracle():
                 worst_balance = max(
                     worst_balance, float(np.max(np.abs(lhs[mask] - rhs[mask]) / lhs[mask]))
                 )
-    decay_ok = all(stationary_tail_decay(ChainParams(m, 5.0)).passed for m in (1e3, 1e4))
+    decay_ok = all(stationary_tail_decay(stationary(ChainParams(m, 5.0))).passed for m in (1e3, 1e4))
     ok = worst_tv <= 1e-9 and worst_balance <= 1e-12 and decay_ok
     report(
         10,

@@ -20,6 +20,7 @@ from dynmatch.analytics import (
     gdy_loss_lower,
     gdy_loss_upper,
     heuristic_predictions,
+    log_balance_ratio,
     pat_loss_upper,
     stationary,
     stationary_mean,
@@ -72,35 +73,24 @@ class TestStationary:
         with pytest.raises(DomainError, match="more than 5000000 states"):
             stationary(ChainParams(5e6, 1.0))
 
-    def test_min_K_beyond_the_hard_cap_rejected_up_front(self):
-        # p_up < 1/3 from k0 = 4.39e6, inside the cap, but min_K starts past it
-        with pytest.raises(DomainError, match="more than 5000000 states"):
-            stationary(ChainParams(4e6, 1.0), min_K=6_000_000)
-
-    # (m, d, tail_tol, min_K) -> truncation_K, tail_bound.hex(), sha256 of
-    # log_probs.tobytes(); taken from the size-by-size recursion it replaced
+    # (m, d, tail_tol) -> truncation_K, tail_bound.hex(), sha256 of
+    # log_probs.tobytes(); taken from the size-by-size recursion it replaced.
+    # The ids keep the rows' names from when the table had a fourth column,
+    # a smallest truncation, that was None in every row kept.
     GOLDEN = [
-        (1e6, 5.0, 1e-12, None, 219722, "0x0.0p+0",
+        (1e6, 5.0, 1e-12, 219722, "0x0.0p+0",
          "55c28aa031f16ab5efcc2d7b68c0c008b6229490fd71f693f92ec671f6ff374a"),
-        (1e3, 5.0, 1e-12, None, 220, "0x1.285506f1b2c51p-48",
+        (1e3, 5.0, 1e-12, 220, "0x1.285506f1b2c51p-48",
          "f52f9b50f55a5f51e01ff3eae9305d87d3c1da27c65c66148a8de946cb523426"),
-        (1e3, 5.0, 1e-3, None, 220, "0x1.285506f1b2c51p-48",
+        (1e3, 5.0, 1e-3, 220, "0x1.285506f1b2c51p-48",
          "f52f9b50f55a5f51e01ff3eae9305d87d3c1da27c65c66148a8de946cb523426"),
-        (1e3, 5.0, 1e-12, 300, 300, "0x1.93bb179d770d9p-163",
-         "b66c180d12bb4cc21713b10889e8ec946e71e3362f8a31e4690a40510ecced47"),
-        (1e3, 1e3, 1e-12, None, 1, "0x0.0p+0",
+        (1e3, 1e3, 1e-12, 1, "0x0.0p+0",
          "693a74bb8bcc67b1697a86d996f1c592290f2c3a080d5f613232f0bef6169b37"),
-        (1e3, 1e3, 1e-3, 300, 1, "0x0.0p+0",
-         "693a74bb8bcc67b1697a86d996f1c592290f2c3a080d5f613232f0bef6169b37"),
-        (1e3, math.nextafter(1e3, 0.0), 1e-12, None, 1, "0x1.ffffffffffff5p-55",
+        (1e3, math.nextafter(1e3, 0.0), 1e-12, 1, "0x1.ffffffffffff5p-55",
          "0756500f65247181da86fc1581575802decc3e84fe2d5082dfc2062b75cf0f00"),
-        (1e3, math.nextafter(1e3, 0.0), 1e-3, 300, 300, "0x0.0p+0",
-         "20b13301aecbcb2f75edc53c1fc3f09ec867e1006c3ac788b7280e71d6db9d6b"),
-        (20.0, 2.0, 1e-3, 300, 300, "0x0.0p+0",
-         "8c18cc9967626b3f4f899df33ba09270562c36273959f2efe9fb79628d4db329"),
-        (10.0, 1.0, 1e-3, None, 14, "0x1.6d7e2f92b7125p-11",
+        (10.0, 1.0, 1e-3, 14, "0x1.6d7e2f92b7125p-11",
          "fb8267d977eee8b2c3b0fbbe99def08ab867dafc12fc7dc3cdd019ca5ed2c125"),
-        (10.0, 1.0, 1e-12, None, 25, "0x1.95297afc4f166p-43",
+        (10.0, 1.0, 1e-12, 25, "0x1.95297afc4f166p-43",
          "c540b345fa83b0f88a1204fe7461363fc6d808b370397cd28a8f8eb015128a4d"),
     ]
 
@@ -108,20 +98,23 @@ class TestStationary:
         st.floats(min_value=1.5, max_value=3000.0),
         st.floats(min_value=1e-3, max_value=1.0),
         st.sampled_from([1e-300, 1e-50, 1e-12, 1e-3, 0.5]),
-        st.sampled_from([None, 0, 5, 300]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_the_step_recursion(self, m, fraction, tail_tol, min_K):
+    def test_bit_identical_to_the_step_recursion(self, m, fraction, tail_tol):
         params = ChainParams(m, min(fraction * m, math.nextafter(m, 0.0)))
-        K, tail_bound, log_probs = stationary_by_steps(params, tail_tol, min_K)
-        dist = stationary(params, tail_tol=tail_tol, min_K=min_K)
+        K, tail_bound, log_probs = stationary_by_steps(params, tail_tol)
+        dist = stationary(params, tail_tol=tail_tol)
         assert dist.truncation_K == K
         assert dist.tail_bound.hex() == tail_bound.hex()
         assert dist.log_probs.tobytes() == log_probs.tobytes()
 
-    @pytest.mark.parametrize("m,d,tail_tol,min_K,K,tail_hex,digest", GOLDEN)
-    def test_golden_outputs(self, m, d, tail_tol, min_K, K, tail_hex, digest):
-        dist = stationary(ChainParams(m, d), tail_tol=tail_tol, min_K=min_K)
+    @pytest.mark.parametrize(
+        "m,d,tail_tol,K,tail_hex,digest",
+        GOLDEN,
+        ids=[f"{m}-{d}-{tol}-None-{K}-{h}-{g}" for m, d, tol, K, h, g in GOLDEN],
+    )
+    def test_golden_outputs(self, m, d, tail_tol, K, tail_hex, digest):
+        dist = stationary(ChainParams(m, d), tail_tol=tail_tol)
         assert dist.truncation_K == K
         assert dist.tail_bound.hex() == tail_hex
         assert hashlib.sha256(dist.log_probs.tobytes()).hexdigest() == digest
@@ -133,7 +126,7 @@ class TestStationary:
         assert abs(dist.probs.sum() + dist.tail_bound - 1.0) < 1e-12
 
     def test_tail_decay_certificate_at_thousand(self):
-        report = stationary_tail_decay(ChainParams(1e3, 5.0))
+        report = stationary_tail_decay(stationary(ChainParams(1e3, 5.0)))
         assert report.passed
         assert report.max_ratio_beyond <= report.decay_bound
         assert report.mass_beyond <= report.mass_cap
@@ -154,6 +147,58 @@ class TestStationary:
         dist = StationaryDistribution(ChainParams(1e4, 5.0), probs, log_probs, K, 0.0)
         with pytest.raises(NumericError, match="exceeds its cap"):
             stationary_mean(dist)
+
+
+# The tail-decay verdicts recorded when the check still built its own longer
+# chain (past the extended threshold, at tail_tol 1e-12) on the grid of m and
+# the densities below plus d = m: every one of the 95 points passed.
+_GRID_M = (2.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3, 1e4, 1e5, 1e6)
+_GRID_D = (0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 20.0, 50.0, 100.0, 300.0, 1000.0)
+RECORDED_VERDICTS = {(m, d): True for m in _GRID_M for d in sorted({*_GRID_D, m}) if d <= m}
+
+
+class TestTailDecayCertificate:
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-3, 0.5])
+    def test_verdicts_as_recorded(self, tail_tol):
+        assert len(RECORDED_VERDICTS) == 95
+        for (m, d), passed in RECORDED_VERDICTS.items():
+            report = stationary_tail_decay(stationary(ChainParams(m, d), tail_tol=tail_tol))
+            assert report.passed is passed, (m, d)
+
+    @pytest.mark.parametrize("m,d", [(10.0, 1.0), (100.0, 5.0), (1e3, 5.0), (1e3, 300.0), (1e4, 20.0)])
+    def test_max_ratio_is_the_closed_form_ratio_at_the_threshold(self, m, d):
+        params = ChainParams(m, d)
+        report = stationary_tail_decay(stationary(params))
+        assert report.max_ratio_beyond == math.exp(log_balance_ratio(report.threshold, math.log1p(-d / m)))
+        longer = stationary(params, tail_tol=1e-300)
+        ratios = np.exp(np.diff(longer.log_probs[report.threshold :]))
+        assert ratios.size > 0
+        assert ratios.max() <= report.max_ratio_beyond * (1.0 + 1e-9)
+
+    def test_two_state_chain(self):
+        dist = stationary(ChainParams(300.0, 300.0))
+        report = stationary_tail_decay(dist)
+        assert report.max_ratio_beyond == 0.0 and report.mass_beyond == 0.0 and report.passed
+        assert dist.mass_above(1e9) == 0.0
+
+    @given(
+        st.floats(min_value=1.5, max_value=3000.0),
+        st.floats(min_value=1e-3, max_value=1.0),
+        st.sampled_from([1e-12, 1e-3, 0.5]),
+        st.one_of(st.floats(min_value=0.0, max_value=60.0), st.floats(min_value=0.0, max_value=3000.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mass_past_the_truncation_bounded_by_a_longer_chain(self, m, fraction, tail_tol, past):
+        params = ChainParams(m, min(fraction * m, math.nextafter(m, 0.0)))
+        dist = stationary(params, tail_tol=tail_tol)
+        x = dist.truncation_K + past
+        mass = dist.mass_above(x)
+        longer = stationary(params, tail_tol=1e-300).mass_above(x)
+        assert mass <= dist.tail_bound
+        assert mass >= longer * (1.0 - 1e-9)
+        # the longer chain counts at least pi(k0), and the bound is below 2 pi(k0)
+        # over the mass up to K
+        assert mass <= 2.0 * longer / (1.0 - dist.tail_bound) * (1.0 + 1e-9)
 
 
 class TestBoundConstants:

@@ -119,6 +119,15 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing-file", "directory"])
+    def test_unreadable_config_file_exit_code(self, capsys, tmp_path, name):
+        # exit 3 is for output i/o; an unreadable --config is bad input
+        code = main(["simulate", "--config", str(tmp_path / name)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {tmp_path / name}: ")
+
     def test_trace_output(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
         code, _ = run_cli(
@@ -364,13 +373,44 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    def test_tail_decay_chain_beyond_the_hard_cap_rejected(self, capsys):
-        # the main chain fits under the cap; the tail-decay chain's min_K does not
-        code = main(["analyze", "--m", "4e6", "--d", "1"])
+    @staticmethod
+    def spy_on_stationary(monkeypatch) -> tuple[list, list]:
+        calls, returned = [], []
+        real = analytics.stationary
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            returned.append(real(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(analytics, "stationary", spy)
+        return calls, returned
+
+    @pytest.mark.parametrize("m", ["1e3", "1e6"])
+    def test_one_chain_per_analyze(self, capsys, monkeypatch, m):
+        calls, _ = self.spy_on_stationary(monkeypatch)
+        code, out = run_cli(capsys, "analyze", "--m", m, "--d", "5")
+        assert code == 0
+        assert json.loads(out)["tail_decay_check"]["pass"] is True
+        assert len(calls) == 1
+
+    def test_bad_tail_tol_refused_before_any_chain(self, capsys, monkeypatch):
+        calls, returned = self.spy_on_stationary(monkeypatch)
+        code = main(["analyze", "--m", "1e6", "--d", "5", "--tail-tol", "0"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: stationary chain")
+        assert captured.err.startswith("error: tail_tol must be")
+        assert len(calls) == 1 and returned == []
+
+    def test_tail_decay_certified_on_a_chain_near_the_cap(self, capsys):
+        # the one chain has 2.0e6 states; c1*log(2)*m/d = 5.2e6 lies past the
+        # hard cap, so the tail past it is bounded in closed form, not built
+        code, out = run_cli(capsys, "analyze", "--m", "100", "--d", "5.5e-5")
+        assert code == 0
+        report = json.loads(out)
+        assert report["stationary"]["truncation_K"] < 5_000_000 < report["tail_decay_check"]["threshold"]
+        assert report["tail_decay_check"]["pass"] is True
 
     def test_far_constant_departure_certifies_waiting_lower_bound(self, capsys):
         # the atom at c = 20000 is found exactly, not by a probe below c
