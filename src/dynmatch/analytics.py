@@ -131,12 +131,11 @@ def stationary_mean(dist: StationaryDistribution) -> float:
     mean = float((k * dist.probs).sum())
     K = dist.truncation_K
     tb = dist.tail_bound
+    m, d = dist.params.m, dist.params.d
     if tb > 0:
         # tail mass is dominated by a geometric with the ratio at K
-        p_up = dist.params.q**K
-        r = p_up / (1.0 - dist.params.q ** (K + 1))
+        r = math.exp(log_balance_ratio(K, math.log1p(-d / m)))
         mean += tb * K + math.exp(dist.log_probs[K]) * r / (1.0 - r) ** 2
-    m, d = dist.params.m, dist.params.d
     if m >= 1e3 and mean > 1.01 * math.ceil(math.log(3) * m / d) + 11:
         raise NumericError(f"stationary mean {mean} exceeds its cap at m={m}, d={d}")
     return mean
@@ -176,8 +175,12 @@ def stationary_tail_decay(dist: StationaryDistribution) -> TailDecayReport:
     """Check the per-step tail decay of a stationary distribution.
 
     Beyond pool size c1*log(2)*m/d every balance ratio must fall below
-    exp(-10/log m), and the mass above that threshold plus 1.5*log(m)^2
-    must not exceed m^-9.  The ratios fall, so the largest is r(threshold), 0 at d = m."""
+    b = exp(-10/log m), and the mass above that threshold plus 1.5*log(m)^2
+    must not exceed m^-9.  The ratios fall, so the largest is r(threshold), 0 at d = m.
+
+    The ratio half cannot fail: at t = ceil(c1*log(2)*m/d), q^t <= exp(-t*d/m)
+    <= 2^-c1 = b/2, so r(t) = q^t / (1 - q^(t+1)) <= (b/2) / (1 - b/2) < b for
+    every m > 1 and d <= m.  Only the mass half tests the chain."""
     m, d = dist.params.m, dist.params.d
     consts = bound_constants(m, d)
     threshold = math.ceil(consts.c1 * math.log(2) * m / d)

@@ -42,15 +42,7 @@ from .core import (
     mix_seed,
     parse_departure_flag,
 )
-from .engine import (
-    ENGINE_VERSION,
-    RUN_CSV_COLUMNS,
-    RunStats,
-    instrument_patient_k1,
-    pool_integral,
-    run,
-    run_coupled,
-)
+from .engine import ENGINE_VERSION, RUN_CSV_COLUMNS, RunStats, run
 
 CSV_SCHEMA_HEADER = "#schema=1"
 
@@ -310,161 +302,41 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # Verification matrix
 
 
-def _check_coupling(runs: int, seed: int) -> dict:
-    specs = [Constant(1.0), Exponential(1.0), Uniform(0.5, 1.5)]
-    worst = 0
-    total = 0
-    for i, departure in enumerate(specs):
-        for rep in range(runs):
-            config = MarketConfig(
-                m=200.0,
-                d=4.0,
-                T=20.0,
-                policy=PolicyKind.GREEDY,
-                departure=departure,
-                seed=mix_seed(seed, i, rep),
-            )
-            _, _, gap = run_coupled(config)
-            worst = max(worst, gap)
-            total += 1
-    return {"name": "coupling", "runs": total, "max_gap": worst, "pass": worst <= 1}
-
-
-def _check_ruin(trials: int, seed: int) -> dict:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    failures = []
-    for spec in (
-        oracles.WalkSpec(p_up=0.4, M=1, N=3, start=1),
-        oracles.WalkSpec(p_up=0.45, M=2, N=8, start=2),
-        oracles.WalkSpec(p_up=0.5, M=1, N=5, start=2),
-    ):
-        exact = oracles.ruin_hit_probability(spec).exact
-        emp = oracles.ruin_hit_monte_carlo(spec, trials, rng)
-        se = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
-        if abs(emp - exact) > 3 * se:
-            failures.append({"spec": vars(spec), "exact": exact, "empirical": emp})
-    return {"name": "ruin", "trials": trials, "failures": failures, "pass": not failures}
-
-
-def _check_urn(seed: int) -> dict:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    failures = []
-    for red, blue, draws in ((2, 2, 2), (40, 60, 50), (30, 80, 40), (5, 5, 10)):
-        spec = oracles.UrnSpec(red, blue, draws)
-        total = math.fsum(oracles.urn_pmf(spec, k) for k in range(draws + 1))
-        if abs(total - 1.0) > 1e-12:
-            failures.append({"spec": vars(spec), "pmf_total": total})
-    m = 280.0
-    for k1 in (30, 60, 90):
-        for l_extra in (0, 10, 20):
-            n = 3 * k1  # red fraction 1/4 <= 2/5
-            spec = oracles.UrnSpec(k1, n, int(m / 8) + l_extra)
-            check = oracles.urn_half_exceedance_bound(spec, m)
-            if not check.satisfied:
-                failures.append({"spec": vars(spec), "exact": check.exact})
-    empirical = oracles.urn_sample_many(oracles.UrnSpec(40, 60, 50), 20_000, rng)
-    exact_mean = 50 * 40 / 100
-    if abs(float(empirical.mean()) - exact_mean) > 0.2:
-        failures.append({"urn_sample_mean": float(empirical.mean())})
-    return {"name": "urn", "failures": failures, "pass": not failures}
-
-
-def _check_dominance(runs: int, seed: int) -> dict:
-    records = []
-    for rep in range(runs):
-        config = MarketConfig(
-            m=300.0,
-            d=5.0,
-            T=3.0,
-            policy=PolicyKind.PATIENT,
-            departure=Constant(1.0),
-            seed=mix_seed(seed, rep),
-        )
-        records.append(instrument_patient_k1(config, t=2.0))
-    report = oracles.dominance_check(records)
-    return {
-        "name": "dominance",
-        "runs": runs,
-        "violations": list(report.violations),
-        "pass": report.passed,
-    }
-
-
-def _check_identities(seed: int) -> dict:
-    failures = []
-    cases = [
-        (policy, departure)
-        for policy in PolicyKind
-        for departure in (Constant(1.0), Exponential(1.0), Uniform(0.5, 1.5), NeverPerish())
+def _identity_configs(seed: int) -> list[MarketConfig]:
+    cases = itertools.product(
+        PolicyKind, (Constant(1.0), Exponential(1.0), Uniform(0.5, 1.5), NeverPerish())
+    )
+    return [
+        MarketConfig(m=200.0, d=3.0, T=10.0, policy=p, departure=dep, seed=mix_seed(seed, i))
+        for i, (p, dep) in enumerate(cases)
     ]
-    for i, (policy, departure) in enumerate(cases):
-        config = MarketConfig(
-            m=200.0,
-            d=3.0,
-            T=10.0,
-            policy=policy,
-            departure=departure,
-            seed=mix_seed(seed, i),
-            pool_trace=True,
-        )
-        stats = run(config, keep_agents=True)
-        if stats.arrivals != stats.matched + stats.perished + stats.pool_at_T:
-            failures.append({"case": i, "reason": "conservation"})
-        integral = pool_integral(stats.pool_trajectory, config.T)
-        per_agent = math.fsum(
-            min(a.outcome_time, config.T) - a.arrival_time for a in stats.agents
-        )
-        if abs(integral - per_agent) > 1e-9:
-            failures.append({"case": i, "reason": "waiting-identity"})
-    return {"name": "identities", "cases": len(cases), "failures": failures, "pass": not failures}
 
 
-def _check_timechange(runs: int, seed: int) -> dict:
-    # rescaling every clock by c is an exact bijection of sample paths:
-    # (Exp(1), d, m, T) and (Exp(c), c*d, c*m, T/c) share the loss law
-    c, d0, m0, T0 = 2.0, 2.0, 50.0, 20.0
-    losses = {"scaled": [], "base": []}
-    for rep in range(runs):
-        base = MarketConfig(
-            m=m0,
-            d=d0,
-            T=T0,
-            policy=PolicyKind.GREEDY,
-            departure=Exponential(1.0),
-            seed=mix_seed(seed, 0, rep),
-        )
-        scaled = MarketConfig(
-            m=c * m0,
-            d=c * d0,
-            T=T0 / c,
-            policy=PolicyKind.GREEDY,
-            departure=Exponential(c),
-            seed=mix_seed(seed, 1, rep),
-        )
-        losses["base"].append(run(base).loss)
-        losses["scaled"].append(run(scaled).loss)
-    a = np.array(losses["scaled"])
-    b = np.array(losses["base"])
-    se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
-    gap = abs(float(a.mean() - b.mean()))
-    return {
-        "name": "timechange",
-        "runs": runs,
-        "mean_scaled": float(a.mean()),
-        "mean_base": float(b.mean()),
-        "gap": gap,
-        "pass": gap <= 3 * se,
-    }
-
-
-# name -> check(runs, seed); checks run in this order under "all"
+# name -> check(runs, seed), which builds the default inputs of one
+# oracles.check_*; checks run in this order under "all"
 _VERIFY = {
-    "coupling": lambda runs, seed: _check_coupling(max(runs // 3, 1), seed),
-    "ruin": lambda runs, seed: _check_ruin(max(runs * 1000, 10_000), seed),
-    "urn": lambda runs, seed: _check_urn(seed),
-    "dominance": _check_dominance,
-    "identities": lambda runs, seed: _check_identities(seed),
-    "timechange": lambda runs, seed: _check_timechange(max(runs, 50), seed),
+    "coupling": lambda runs, seed: oracles.check_coupling(
+        [[mix_seed(seed, i, rep) for rep in range(max(runs // 3, 1))] for i in range(3)]
+    ),
+    "ruin": lambda runs, seed: oracles.check_ruin(
+        (
+            oracles.WalkSpec(p_up=0.4, M=1, N=3, start=1),
+            oracles.WalkSpec(p_up=0.45, M=2, N=8, start=2),
+            oracles.WalkSpec(p_up=0.5, M=1, N=5, start=2),
+        ),
+        max(runs * 1000, 10_000),
+        seed,
+    ),
+    "urn": lambda runs, seed: oracles.check_urn(
+        ((2, 2, 2), (40, 60, 50), (30, 80, 40), (5, 5, 10)),
+        [(k1, 3 * k1, extra) for k1 in (30, 60, 90) for extra in (0, 10, 20)],
+        seed,
+    ),
+    "dominance": lambda runs, seed: oracles.check_dominance(
+        [mix_seed(seed, rep) for rep in range(runs)]
+    ),
+    "identities": lambda runs, seed: oracles.check_identities(_identity_configs(seed)),
+    "timechange": lambda runs, seed: oracles.check_timechange(max(runs, 50), seed),
 }
 VERIFY_CHECKS = tuple(_VERIFY)
 

@@ -1,4 +1,6 @@
-"""Independent exact computations backing the simulator's statistical checks.
+"""Independent exact computations backing the simulator's statistical checks,
+and the catalogue of checks that ``dynmatch verify`` and the acceptance
+suite run on them.
 
 These oracles deliberately share no helpers with the analytics bound
 formulas: hitting probabilities come from the harmonic-function closed
@@ -10,12 +12,23 @@ counts against the exact hypergeometric law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DomainError, FormatError, NumericError
+from .core import (
+    Constant,
+    DomainError,
+    Exponential,
+    FormatError,
+    MarketConfig,
+    NumericError,
+    PolicyKind,
+    Uniform,
+    mix_seed,
+)
+from .engine import instrument_patient_k1, pool_integral, run, run_coupled
 
 
 # --------------------------------------------------------------------------
@@ -278,3 +291,161 @@ def dominance_check(records: Sequence[tuple[int, int, int, int, int]]) -> Domina
         violations=tuple(violations),
         passed=not violations,
     )
+
+
+# --------------------------------------------------------------------------
+# Verification catalogue: one implementation per check.  Each takes only
+# the inputs in which its callers (``dynmatch verify`` and the acceptance
+# suite) differ, and returns a JSON-ready dict with its statistic, its
+# threshold and ``pass``.
+
+
+def check_coupling(seeds: Sequence[Sequence[int]]) -> dict:
+    """Largest pool-size gap (perishing pool minus never-perishing pool, see
+    ``run_coupled``) over coupled greedy runs at m=200, d=4, T=20, which
+    must not exceed 1; ``seeds`` holds one seed list per departure law
+    (constant, exponential, uniform)."""
+    departures = (Constant(1.0), Exponential(1.0), Uniform(0.5, 1.5))
+    gaps = [
+        run_coupled(MarketConfig(200.0, 4.0, 20.0, PolicyKind.GREEDY, departure, seed))[2]
+        for departure, runs in zip(departures, seeds, strict=True)
+        for seed in runs
+    ]
+    worst = max(gaps, default=0)
+    return {
+        "name": "coupling",
+        "runs": len(gaps),
+        "max_gap": worst,
+        "threshold": 1,
+        "pass": worst <= 1,
+    }
+
+
+def check_ruin(specs: Sequence[WalkSpec], trials: int, seed: int) -> dict:
+    """Monte Carlo hit frequency of each walk against its exact value, in
+    standard errors: a walk fails when |z| > 3."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    results = []
+    for spec in specs:
+        exact = ruin_hit_probability(spec).exact
+        emp = ruin_hit_monte_carlo(spec, trials, rng)
+        se = math.sqrt(max(exact * (1 - exact), 1e-12) / trials)
+        z = (emp - exact) / se
+        results.append({"spec": vars(spec), "exact": exact, "empirical": emp, "se": se, "z": z})
+    failures = [r for r in results if abs(r["empirical"] - r["exact"]) > 3 * r["se"]]
+    return {
+        "name": "ruin",
+        "trials": trials,
+        "specs": results,
+        "threshold": 3,
+        "failures": failures,
+        "pass": not failures,
+    }
+
+
+def check_urn(
+    pmf_urns: Sequence[tuple[int, int, int]], bound_grid: Sequence[tuple[int, int, int]], seed: int
+) -> dict:
+    """Urn oracle self-consistency.
+
+    The pmf of every ``(red, blue, draws)`` urn in ``pmf_urns`` must sum to
+    1 within 1e-12.  A ``(red, blue, extra)`` point of ``bound_grid`` draws
+    m/8 + extra balls at m = 280 and fails unless its cap's preconditions
+    hold and the cap is satisfied.  The mean of 20,000 sampled red counts of
+    the (40, 60, 50) urn must lie within 0.2 of its exact value 20.
+    """
+    m = 280.0
+    failures = []
+    max_pmf_error = 0.0
+    for urn in pmf_urns:
+        spec = UrnSpec(*urn)
+        total = math.fsum(urn_pmf(spec, k) for k in range(spec.draws + 1))
+        max_pmf_error = max(max_pmf_error, abs(total - 1.0))
+        if abs(total - 1.0) > 1e-12:
+            failures.append({"spec": vars(spec), "pmf_total": total})
+    for red, blue, extra in bound_grid:
+        check = urn_half_exceedance_bound(UrnSpec(red, blue, int(m / 8) + extra), m)
+        if not (check.preconditions_hold and check.satisfied):
+            failures.append({"spec": vars(check.spec), "exact": check.exact})
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sample_mean = float(urn_sample_many(UrnSpec(40, 60, 50), 20_000, rng).mean())
+    if abs(sample_mean - 20.0) > 0.2:
+        failures.append({"urn_sample_mean": sample_mean})
+    return {
+        "name": "urn",
+        "max_pmf_error": max_pmf_error,
+        "bound_points": len(bound_grid),
+        "sample_mean_deviation": abs(sample_mean - 20.0),
+        "threshold": {"max_pmf_error": 1e-12, "sample_mean_deviation": 0.2},
+        "failures": failures,
+        "pass": not failures,
+    }
+
+
+def check_dominance(seeds: Sequence[int]) -> dict:
+    """``dominance_check`` over instrumented patient runs at m=300, d=5,
+    T=3, t=2, one per seed: a threshold is a violation when its z > 3."""
+    market = (300.0, 5.0, 3.0, PolicyKind.PATIENT, Constant(1.0))
+    records = [instrument_patient_k1(MarketConfig(*market, seed), t=2.0) for seed in seeds]
+    report = dominance_check(records)
+    return {
+        "name": "dominance",
+        "runs": report.n_records,
+        "violations": list(report.violations),
+        "max_z": float(report.z_scores.max()) if report.z_scores.size else None,
+        "threshold": 3,
+        "pass": report.passed,
+    }
+
+
+def check_identities(configs: Sequence[MarketConfig]) -> dict:
+    """Conservation (arrivals = matched + perished + pool at T) and the
+    waiting-time identity (pool integral = per-agent waiting sum, within
+    1e-9) on one traced run per config."""
+    failures = []
+    worst = 0.0
+    for i, config in enumerate(configs):
+        stats = run(replace(config, pool_trace=True), keep_agents=True)
+        if stats.arrivals != stats.matched + stats.perished + stats.pool_at_T:
+            failures.append({"case": i, "reason": "conservation"})
+        integral = pool_integral(stats.pool_trajectory, config.T)
+        per_agent = math.fsum(min(a.outcome_time, config.T) - a.arrival_time for a in stats.agents)
+        worst = max(worst, abs(integral - per_agent))
+        if abs(integral - per_agent) > 1e-9:
+            failures.append({"case": i, "reason": "waiting-identity"})
+    return {
+        "name": "identities",
+        "cases": len(configs),
+        "max_residual": worst,
+        "threshold": 1e-9,
+        "failures": failures,
+        "pass": not failures,
+    }
+
+
+def check_timechange(runs: int, seed: int) -> dict:
+    """Greedy loss law under a change of time scale: rescaling every clock by
+    c is an exact bijection of sample paths, so (Exp(1), d, m, T) and
+    (Exp(c), c*d, c*m, T/c) share the loss law; the mean gap must be within
+    3 pooled standard errors."""
+
+    def losses(m: float, d: float, T: float, rate: float, stream: int) -> np.ndarray:
+        market = (m, d, T, PolicyKind.GREEDY, Exponential(rate))
+        seeds = [mix_seed(seed, stream, rep) for rep in range(runs)]
+        return np.array([run(MarketConfig(*market, s)).loss for s in seeds])
+
+    c = 2.0
+    base = losses(50.0, 2.0, 20.0, 1.0, 0)
+    scaled = losses(c * 50.0, c * 2.0, 20.0 / c, c, 1)
+    se = math.sqrt(scaled.var(ddof=1) / runs + base.var(ddof=1) / runs)
+    gap = abs(float(scaled.mean() - base.mean()))
+    return {
+        "name": "timechange",
+        "runs": runs,
+        "mean_scaled": float(scaled.mean()),
+        "mean_base": float(base.mean()),
+        "gap": gap,
+        "se": se,
+        "threshold": 3 * se,
+        "pass": gap <= 3 * se,
+    }

@@ -24,11 +24,8 @@ from dynmatch import (
     NeverPerish,
     PolicyKind,
     Uniform,
-    instrument_patient_k1,
     mix_seed,
-    pool_integral,
     run,
-    run_coupled,
 )
 from dynmatch.analytics import (
     ChainParams,
@@ -40,13 +37,12 @@ from dynmatch.analytics import (
     stationary_tail_decay,
 )
 from dynmatch.oracles import (
-    UrnSpec,
     WalkSpec,
-    dominance_check,
-    ruin_hit_monte_carlo,
-    ruin_hit_probability,
-    urn_half_exceedance_bound,
-    urn_pmf,
+    check_coupling,
+    check_dominance,
+    check_identities,
+    check_ruin,
+    check_urn,
 )
 
 MASTER_SEED = 108
@@ -265,24 +261,12 @@ def test_criterion_08_heuristic_agreement(gdy_grid, pat_grid):
 
 
 def test_criterion_09_coupling_gap():
-    specs = (Constant(1.0), Exponential(1.0), Uniform(0.5, 1.5))
-    worst, total = 0, 0
-    for i, departure in enumerate(specs):
-        for rep in range(67 if i else 66):
-            config = MarketConfig(
-                m=200.0,
-                d=4.0,
-                T=20.0,
-                policy=PolicyKind.GREEDY,
-                departure=departure,
-                seed=mix_seed(MASTER_SEED, 777 + i, rep),
-            )
-            _, _, gap = run_coupled(config)
-            worst = max(worst, gap)
-            total += 1
-    ok = worst <= 1
-    report(9, "coupling-gap", ok, f"max gap {worst} over {total} coupled runs")
-    assert ok
+    result = check_coupling(
+        [[mix_seed(MASTER_SEED, 777 + i, rep) for rep in range(67 if i else 66)] for i in range(3)]
+    )
+    detail = f"max gap {result['max_gap']} over {result['runs']} coupled runs"
+    report(9, "coupling-gap", result["pass"], detail)
+    assert result["pass"]
 
 
 def test_criterion_10_stationary_oracle():
@@ -315,79 +299,40 @@ def test_criterion_10_stationary_oracle():
 
 
 def test_criterion_11_oracle_suite():
-    rng = np.random.Generator(np.random.PCG64(MASTER_SEED))
-    details = []
-    ok = True
-
-    spec = WalkSpec(p_up=0.4, M=1, N=4, start=2)
-    exact = ruin_hit_probability(spec).exact
-    emp = ruin_hit_monte_carlo(spec, 1_000_000, rng)
-    se = math.sqrt(exact * (1 - exact) / 1_000_000)
-    good = abs(emp - exact) <= 3 * se
-    details.append(f"ruin {emp:.5f} vs {exact:.5f}")
-    ok &= good
-
-    for red, blue, draws in ((40, 60, 50), (7, 3, 5), (25, 75, 33), (3, 3, 6)):
-        total = math.fsum(urn_pmf(UrnSpec(red, blue, draws), k) for k in range(draws + 1))
-        good = abs(total - 1.0) <= 1e-12
-        ok &= good
-    details.append("urn pmf normalized")
-
-    m = 280.0
-    checked = 0
-    for k1 in (18, 25, 35, 45, 60):
-        for factor in (2, 3):
-            for extra in (0, 4, 8, 12, 16):
-                spec_u = UrnSpec(k1, factor * k1, int(m / 8) + extra)
-                check = urn_half_exceedance_bound(spec_u, m)
-                if check.preconditions_hold:
-                    checked += 1
-                    ok &= check.satisfied
-    details.append(f"urn bound grid ({checked} points)")
-    good = checked >= 50
-    ok &= good
-
-    records = []
-    for rep in range(500):
-        config = MarketConfig(
-            m=300.0,
-            d=5.0,
-            T=3.0,
-            policy=PolicyKind.PATIENT,
-            departure=Constant(1.0),
-            seed=mix_seed(MASTER_SEED, 555, rep),
-        )
-        records.append(instrument_patient_k1(config, t=2.0))
-    dom = dominance_check(records)
-    details.append(f"dominance over {dom.n_records} runs, violations {list(dom.violations)}")
-    ok &= dom.passed
-
+    ruin = check_ruin([WalkSpec(p_up=0.4, M=1, N=4, start=2)], 1_000_000, MASTER_SEED)
+    urn = check_urn(
+        ((40, 60, 50), (7, 3, 5), (25, 75, 33), (3, 3, 6)),
+        [(k1, f * k1, x) for k1 in (18, 25, 35, 45, 60) for f in (2, 3) for x in (0, 4, 8, 12, 16)],
+        MASTER_SEED,
+    )
+    dom = check_dominance([mix_seed(MASTER_SEED, 555, rep) for rep in range(500)])
+    walk = ruin["specs"][0]
+    details = [
+        f"ruin {walk['empirical']:.5f} vs {walk['exact']:.5f}",
+        "urn pmf normalized",
+        f"urn bound grid ({urn['bound_points']} points)",
+        f"dominance over {dom['runs']} runs, violations {dom['violations']}",
+    ]
+    ok = ruin["pass"] and urn["pass"] and dom["pass"]
     report(11, "oracle-suite", ok, "; ".join(details))
     assert ok
 
 
 def test_criterion_12_run_identities():
-    worst = 0.0
-    for i, policy in enumerate(PolicyKind):
-        for j, departure in enumerate(
-            (Constant(1.0), Exponential(1.0), Uniform(0.5, 1.5), NeverPerish())
-        ):
-            config = MarketConfig(
-                m=300.0,
-                d=4.0,
-                T=20.0,
-                policy=policy,
-                departure=departure,
-                seed=mix_seed(MASTER_SEED, 333, i, j),
-                pool_trace=True,
-            )
-            stats = run(config, keep_agents=True)
-            assert stats.arrivals == stats.matched + stats.perished + stats.pool_at_T
-            integral = pool_integral(stats.pool_trajectory, config.T)
-            per_agent = math.fsum(
-                min(a.outcome_time, config.T) - a.arrival_time for a in stats.agents
-            )
-            worst = max(worst, abs(integral - per_agent))
-    ok = worst <= 1e-9
-    report(12, "run-identities", ok, f"max |integral - per-agent sum| = {worst:.2e}")
-    assert ok
+    departures = (Constant(1.0), Exponential(1.0), Uniform(0.5, 1.5), NeverPerish())
+    configs = [
+        MarketConfig(
+            m=300.0,
+            d=4.0,
+            T=20.0,
+            policy=policy,
+            departure=departure,
+            seed=mix_seed(MASTER_SEED, 333, i, j),
+        )
+        for i, policy in enumerate(PolicyKind)
+        for j, departure in enumerate(departures)
+    ]
+    result = check_identities(configs)
+    detail = f"max |integral - per-agent sum| = {result['max_residual']:.2e}"
+    report(12, "run-identities", result["pass"], detail)
+    assert result["pass"]

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from dynmatch import analytics, cli, engine
+from dynmatch import analytics, cli, engine, oracles
 from dynmatch.cli import (
     SweepSpec,
     main,
@@ -23,6 +23,14 @@ from dynmatch.core import ConfigError, Constant, NumericError, PolicyKind, mix_s
 
 def _no_work(*args, **kwargs):
     raise AssertionError("a run started although the arguments are invalid")
+
+
+def _spy_on_checks(monkeypatch) -> list[str]:
+    """Replace every check ``verify`` can dispatch to; returns the names that ran."""
+    ran: list[str] = []
+    for name in cli.VERIFY_CHECKS:
+        monkeypatch.setitem(cli._VERIFY, name, lambda runs, seed, name=name: ran.append(name))
+    return ran
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -444,24 +452,34 @@ class TestVerify:
         coupling = next(c for c in report["checks"] if c["name"] == "coupling")
         assert coupling["max_gap"] <= 1
 
+    def test_failed_check_exits_1_with_its_statistic(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracles, "run_coupled", lambda config: (None, None, 2))
+        code, out = run_cli(capsys, "verify", "--check", "coupling", "--runs", "3")
+        assert code == 1
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["checks"] == [
+            {"name": "coupling", "runs": 3, "max_gap": 2, "threshold": 1, "pass": False}
+        ]
+
     @pytest.mark.parametrize("runs", ["0", "-2"])
     def test_non_positive_runs_rejected_before_any_check(self, capsys, monkeypatch, runs):
-        monkeypatch.setattr(cli, "run_coupled", _no_work)
-        monkeypatch.setattr(cli, "run", _no_work)
+        ran = _spy_on_checks(monkeypatch)
         code = main(["verify", "--runs", runs])
         captured = capsys.readouterr()
         assert code == 2
+        assert ran == []
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("check", ["all", "ruin", "urn"])
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_out_of_range_seed_rejected_before_any_check(self, capsys, monkeypatch, check, seed):
-        monkeypatch.setattr(cli, "run_coupled", _no_work)
-        monkeypatch.setattr(cli, "run", _no_work)
+        ran = _spy_on_checks(monkeypatch)
         code = main(["verify", "--check", check, "--seed", seed])
         captured = capsys.readouterr()
         assert code == 2
+        assert ran == []
         assert captured.out == ""
         assert captured.err.startswith("error: seed must be")
 

@@ -34,7 +34,7 @@ from dynmatch import (
     run,
     run_coupled,
 )
-from dynmatch.oracles import UrnSpec, urn_exceedance
+from dynmatch.oracles import UrnSpec, check_timechange, urn_exceedance
 
 
 def config(**overrides) -> MarketConfig:
@@ -592,37 +592,7 @@ class TestCoupledPools:
 
 class TestTimeChange:
     def test_loss_invariant_under_time_rescaling(self):
-        # rescaling every clock by c is an exact bijection of sample paths:
-        # (Exp(1), d, m, T) and (Exp(c), c*d, c*m, T/c) share the loss law
-        c, d0, m0, T0, runs = 2.0, 2.0, 50.0, 20.0, 200
-        base, scaled = [], []
-        for rep in range(runs):
-            base.append(
-                run(
-                    config(
-                        m=m0,
-                        d=d0,
-                        T=T0,
-                        departure=Exponential(1.0),
-                        seed=mix_seed(101, 0, rep),
-                        pool_trace=False,
-                    )
-                ).loss
-            )
-            scaled.append(
-                run(
-                    config(
-                        m=c * m0,
-                        d=c * d0,
-                        T=T0 / c,
-                        departure=Exponential(c),
-                        seed=mix_seed(101, 1, rep),
-                        pool_trace=False,
-                    )
-                ).loss
-            )
-        a, b = np.array(base), np.array(scaled)
-        assert abs(a.mean() - b.mean()) <= 3.0 * pooled_se(a, b)
+        assert check_timechange(runs=200, seed=101)["pass"]
 
 
 class TestHeterogeneousSojourns:

@@ -135,3 +135,18 @@ def test_benchmark_trace_pass_runs(monkeypatch):
         # the rebuild goes by agent, the engine by event time: compare as multisets
         assert sorted(tracing.rebuild_counts(config, traced).query_sizes) == engine_sizes, policy
     assert not failed, failed
+
+
+def test_one_implementation_per_verification_check():
+    # the checks live once, in oracles' verification catalogue: verify and the
+    # acceptance criteria call them, and neither redoes their work itself
+    work = {"run_coupled", "instrument_patient_k1", "pool_integral", "ruin_hit_monte_carlo", "dominance_check"}
+    cli_nodes = list(ast.walk(ast.parse((SRC / "cli.py").read_text())))
+    checks = [n.name for n in cli_nodes if isinstance(n, ast.FunctionDef) and n.name.startswith("_check_")]
+    used = {n.id for n in cli_nodes if isinstance(n, ast.Name)}
+    used |= {n.attr for n in cli_nodes if isinstance(n, ast.Attribute)}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    imported = {a.name for n in ast.walk(acceptance) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not checks, f"checks defined in cli: {checks}"
+    assert not used & work, f"cli does check work itself: {sorted(used & work)}"
+    assert not imported & work, f"the acceptance suite imports check work: {sorted(imported & work)}"
