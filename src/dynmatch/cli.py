@@ -203,7 +203,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if args.trace_out:
         config = replace(config, pool_trace=True)
-    stats = run(config, burn_in=args.burn_in)
+    stats = run(config)
     if args.trace_out:
         _write_csv(Path(args.trace_out), ("time", "size"), stats.pool_trajectory)
     json.dump(stats.to_json_dict() | {"engine_version": ENGINE_VERSION}, sys.stdout, indent=2)
@@ -384,12 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--d", type=float, help="density parameter")
     p_sim.add_argument("--config", help="JSON market config (overrides flags)")
     p_sim.add_argument("--trace-out", help="write the pool trajectory CSV here")
-    p_sim.add_argument(
-        "--burn-in",
-        type=float,
-        default=0.0,
-        help="exploratory warm-up; stats cover arrivals in (burn_in, burn_in + T]",
-    )
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="replication sweep over d, CSV output")

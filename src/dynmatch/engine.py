@@ -15,8 +15,9 @@ id, so a FIFO ``deque`` replaces the heap and pops in exactly its
 
 The loops keep pool accounting in locals (members, counts, trajectory, and
 Kahan sums of the pool integral and of the agent waits, in event order);
-``_Pool`` checks conservation and the waiting-time identity at the end and
-builds the ``RunStats``.  ``run`` keeps one pool and ``run_coupled`` two.
+``_close_out`` finishes both sums at T, checks conservation and the
+waiting-time identity and builds the ``RunStats``.  ``run`` keeps one pool
+and ``run_coupled`` two.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
@@ -108,51 +108,6 @@ class RunStats:
         return [getattr(self, col) for col in RUN_CSV_COLUMNS]
 
 
-@dataclass(slots=True)
-class _Pool:
-    """The ledger of one pool at the end of a run.
-
-    ``wait`` integrates the pool size over time and ``agent_wait`` sums the
-    waits of the counted agents; over a full run they are the same total
-    (the waiting-time identity).
-    """
-
-    matched: int
-    perished: int
-    wait: float
-    agent_wait: float
-    traj: list[tuple[float, int]] | None
-
-    def stats(self, config: MarketConfig, kind: str, arrivals: int, pool_at_T: int,
-              warm: bool = False, agents: list[Agent] | None = None) -> RunStats:
-        """Check conservation and the waiting-time identity, then build the stats.
-
-        A ``warm`` (burn-in) run skips the identity: only window agents count,
-        so the pool integral is not their wait."""
-        if arrivals != self.matched + self.perished + pool_at_T:
-            raise NumericError(f"conservation violated in the {kind} pool")
-        wait, agent_wait = self.wait, self.agent_wait
-        if not warm and abs(wait - agent_wait) > 1e-9:
-            raise NumericError(
-                f"waiting-time identity violated in the {kind} pool: {wait} vs {agent_wait}"
-            )
-        return RunStats(
-            seed=config.seed,
-            m=config.m,
-            d=config.d,
-            T=config.T,
-            policy=config.policy.value,
-            departure_kind=kind,
-            arrivals=arrivals,
-            matched=self.matched,
-            perished=self.perished,
-            pool_at_T=pool_at_T,
-            total_wait=agent_wait if warm else wait,
-            pool_trajectory=self.traj,
-            agents=agents,
-        )
-
-
 def pool_integral(trajectory: list[tuple[float, int]], T: float) -> float:
     """Exact integral of a piecewise-constant pool trajectory over [0, T].
 
@@ -172,15 +127,45 @@ def pool_integral(trajectory: list[tuple[float, int]], T: float) -> float:
     return math.fsum(pieces)
 
 
-def _kahan_extend(total: float, c: float, xs: Iterable[float]) -> float:
-    """The compensated sum ``total`` (compensation ``c``) continued over ``xs``.
+def _close_out(config: MarketConfig, kind: str, arrivals: int, matched: int, perished: int,
+               pool: list[int], arrival: array, t_last: float, wait: float, wait_c: float,
+               agent_wait: float, agent_c: float, traj: list[tuple[float, int]] | None,
+               agents: list[Agent] | None = None) -> RunStats:
+    """The ledger of one pool at the horizon T, checked, as ``RunStats``.
 
-    The loops make the same update inline: ``y = x - c`` then
-    ``total, c = total + y, (total + y - total) - y``."""
-    for x in xs:
-        y = x - c
-        total, c = total + y, (total + y - total) - y
-    return total
+    ``wait`` (compensation ``wait_c``) integrates the pool size up to
+    ``t_last`` and ``agent_wait`` (``agent_c``) sums the waits of the agents
+    who left; both Kahan sums continue to T, over the still-pooled agents'
+    waits for the second, with the loops' update.  Conservation and the
+    waiting-time identity (the two totals agree) raise ``NumericError``.
+    """
+    T = config.T
+    if T > t_last:
+        wait += len(pool) * (T - t_last) - wait_c
+    for aid in pool:
+        y = T - arrival[aid] - agent_c
+        agent_wait, agent_c = agent_wait + y, (agent_wait + y - agent_wait) - y
+    if arrivals != matched + perished + len(pool):
+        raise NumericError(f"conservation violated in the {kind} pool")
+    if abs(wait - agent_wait) > 1e-9:
+        raise NumericError(
+            f"waiting-time identity violated in the {kind} pool: {wait} vs {agent_wait}"
+        )
+    return RunStats(
+        seed=config.seed,
+        m=config.m,
+        d=config.d,
+        T=T,
+        policy=config.policy.value,
+        departure_kind=kind,
+        arrivals=arrivals,
+        matched=matched,
+        perished=perished,
+        pool_at_T=len(pool),
+        total_wait=wait,
+        pool_trajectory=traj,
+        agents=agents,
+    )
 
 
 def _criticality_queue(departure) -> tuple:
@@ -205,7 +190,7 @@ def _pool_remove(pool: list[int], pos: dict[int, int], agent_id: int) -> None:
         pos[last] = i
 
 
-def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0) -> RunStats:
+def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
     """Simulate one run under the configured policy and return its stats.
 
     Greedy flavors query each pool member once at every arrival and match
@@ -215,26 +200,16 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     the critical moment: the critical agent queries each other pool member
     once and matches uniformly among compatibles, or perishes.
 
-    ``burn_in`` is an exploratory warm-up: the market runs over
-    [0, burn_in + T] but the stats cover only agents arriving after
-    ``burn_in`` (their waits truncated at the horizon).  Conservation
-    holds within that window; the matched count may then be odd and
-    total_wait is the window agents' waiting sum, not the full pool
-    integral.  It is zero in every reference protocol.
-
     Per-agent state lives in flat arrays indexed by id; ``Agent`` records
     are built at the end, and only for ``keep_agents``.
     """
-    if burn_in < 0 or not math.isfinite(burn_in):
-        raise ConfigError(f"burn_in must be finite and >= 0, got {burn_in}")
     streams = RngStreams.from_seed(config.seed)
     arrivals = arrival_times(config.m, streams.interarrival).__next__
     sojourns = uniforms(streams.sojourn).__next__
     tiebreak = tiebreaks(streams.tiebreak)
     query = PairCompatibilityOracle(streams.compatibility, config.p).query_block
 
-    horizon = burn_in + config.T
-    warm = burn_in > 0.0
+    T = config.T
     patient = config.policy is PolicyKind.PATIENT
     by_sojourn = config.policy is PolicyKind.GREEDY_SOJOURN
     departure = config.departure
@@ -248,7 +223,6 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     partner = array("q", [0])
     outcome_time = array("d", [0.0])
     n = 0  # agents so far
-    first = 1  # ids >= first arrived after burn_in; arrival times never decrease
 
     pool: list[int] = []
     pos: dict[int, int] = {}
@@ -261,7 +235,7 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
     while True:
         arriving = not queue or (next_arrival, n) <= queue[0]
         t = next_arrival if arriving else queue[0][0]
-        if t > horizon:
+        if t > T:
             break
         if arriving:
             n += 1
@@ -272,8 +246,6 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
             outcome.append(_UNRESOLVED)
             partner.append(0)
             outcome_time.append(0.0)
-            if warm and t <= burn_in:
-                first = n + 1
             next_arrival = arrivals()
         else:
             aid = pop()[1]
@@ -302,12 +274,9 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
             outcome[aid] = outcome[partner_id] = _MATCHED
             partner[aid], partner[partner_id] = partner_id, aid
             outcome_time[aid] = outcome_time[partner_id] = t
-            if partner_id >= first:
-                y = t - arrival[partner_id] - agent_c
-                agent_wait, agent_c = agent_wait + y, (agent_wait + y - agent_wait) - y
-                matched += 1
-            if aid >= first:
-                matched += 1
+            y = t - arrival[partner_id] - agent_c
+            agent_wait, agent_c = agent_wait + y, (agent_wait + y - agent_wait) - y
+            matched += 2
         elif arriving:
             pos[aid] = len(pool)
             pool.append(aid)
@@ -316,24 +285,19 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
         else:
             outcome[aid] = _PERISHED
             outcome_time[aid] = t
-            if aid >= first:
-                perished += 1
-        if not arriving and aid >= first:  # an arriving agent leaves at once, with no wait
+            perished += 1
+        if not arriving:  # an arriving agent leaves at once, with no wait
             y = t - arrival[aid] - agent_c
             agent_wait, agent_c = agent_wait + y, (agent_wait + y - agent_wait) - y
 
         if traj is not None and traj[-1][1] != len(pool):
             traj.append((t, len(pool)))
 
-    if horizon > t_last:
-        wait += len(pool) * (horizon - t_last) - wait_c
     for aid in pool:
         outcome[aid] = AgentOutcome.IN_POOL_AT_HORIZON
-        outcome_time[aid] = horizon
-    counted = [horizon - arrival[aid] for aid in pool if aid >= first]
-    agent_wait = _kahan_extend(agent_wait, agent_c, counted)
-    # each window agent's final outcome must be the one the ledger counted
-    if (outcome.count(_MATCHED, first), outcome.count(_PERISHED, first)) != (matched, perished):
+        outcome_time[aid] = T
+    # each agent's final outcome must be the one the ledger counted
+    if (outcome.count(_MATCHED), outcome.count(_PERISHED)) != (matched, perished):
         raise NumericError("per-agent outcomes disagree with the pool's counts")
     agents = None
     if keep_agents:
@@ -342,8 +306,8 @@ def run(config: MarketConfig, *, keep_agents: bool = False, burn_in: float = 0.0
                   partner[i] or None, outcome_time[i])
             for i in range(1, n + 1)
         ]
-    ledger = _Pool(matched, perished, wait, agent_wait, traj)
-    return ledger.stats(config, departure.kind, n - first + 1, len(counted), warm, agents)
+    return _close_out(config, departure.kind, n, matched, perished, pool, arrival,
+                      t_last, wait, wait_c, agent_wait, agent_c, traj, agents)
 
 
 def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
@@ -441,14 +405,11 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
             if b_traj[-1][1] != len(b_ids):
                 b_traj.append((t, len(b_ids)))
 
-    if T > t_last:
-        a_wait += len(a_ids) * (T - t_last) - a_wait_c
-        b_wait += len(b_ids) * (T - t_last) - b_wait_c
-    a_agent = _kahan_extend(a_agent, a_agent_c, [T - arrival[aid] for aid in a_ids])
-    b_agent = _kahan_extend(b_agent, b_agent_c, [T - arrival[aid] for aid in b_ids])
     return (
-        _Pool(a_matched, perished, a_wait, a_agent, a_traj).stats(config, departure.kind, n, len(a_ids)),
-        _Pool(b_matched, 0, b_wait, b_agent, b_traj).stats(config, "never", n, len(b_ids)),
+        _close_out(config, departure.kind, n, a_matched, perished, a_ids, arrival,
+                   t_last, a_wait, a_wait_c, a_agent, a_agent_c, a_traj),
+        _close_out(config, "never", n, b_matched, 0, b_ids, arrival,
+                   t_last, b_wait, b_wait_c, b_agent, b_agent_c, b_traj),
         max_gap,
     )
 

@@ -158,6 +158,12 @@ class TestSimulate:
         code, _ = run_cli(capsys, "simulate", "--m", "10")
         assert code == 2
 
+    def test_burn_in_flag_refused(self, capsys):
+        # a run covers [0, T] from an empty market; there is no warm-up flag
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--m", "10", "--d", "2", "--T", "1", "--burn-in", "1"])
+        assert exit_info.value.code == 2
+
 
 class TestSweep:
     def spec(self, **overrides) -> SweepSpec:

@@ -24,6 +24,7 @@ from dynmatch import (
     MarketConfig,
     Mixture,
     NeverPerish,
+    NumericError,
     PairCompatibilityOracle,
     PolicyKind,
     RangeError,
@@ -148,29 +149,29 @@ class TestRunBasics:
     def test_agents_not_kept_by_default(self):
         assert run(config(seed=2)).agents is None
 
-    def test_burn_in_restricts_stats_to_the_window(self):
-        cfg = config(m=50.0, T=5.0, seed=31, pool_trace=False)
-        stats = run(cfg, keep_agents=True, burn_in=3.0)
-        horizon = 3.0 + 5.0
-        window = [a for a in stats.agents if a.arrival_time > 3.0]
-        assert stats.arrivals == len(window)
-        assert stats.matched == sum(a.outcome == AgentOutcome.MATCHED for a in window)
-        assert stats.perished == sum(a.outcome == AgentOutcome.PERISHED for a in window)
-        assert stats.pool_at_T == sum(
-            a.outcome == AgentOutcome.IN_POOL_AT_HORIZON for a in window
-        )
-        assert stats.arrivals == stats.matched + stats.perished + stats.pool_at_T
-        assert stats.loss == stats.perished / (50.0 * 5.0)
-        expected_wait = math.fsum(min(a.outcome_time, horizon) - a.arrival_time for a in window)
-        assert stats.total_wait == pytest.approx(expected_wait, abs=1e-9)
-        assert len(stats.agents) > len(window)
 
-    def test_zero_burn_in_matches_default(self):
-        assert run(config(seed=8), burn_in=0.0) == run(config(seed=8))
+class TestLedgerChecks:
+    """The end-of-run ledger raises ``NumericError`` when an invariant breaks."""
 
-    def test_negative_burn_in_rejected(self):
-        with pytest.raises(ConfigError):
-            run(config(seed=1), burn_in=-1.0)
+    @staticmethod
+    def close_out(arrivals: int, agent_wait: float):
+        # 4 matched, 1 perished and agents 1 and 2 (arrived at 1 and 3) still
+        # pooled at T = 10; a pool integral of 12 up to t = 8 plus the horizon
+        # step 2 * (10 - 8) equals the pooled waits 9 + 7 on top of agent_wait = 0
+        return engine._close_out(config(T=10.0), "constant", arrivals, 4, 1, [1, 2], [0.0, 1.0, 3.0],
+                                 8.0, 12.0, 0.0, agent_wait, 0.0, None)
+
+    def test_balanced_ledger_passes(self):
+        stats = self.close_out(7, 0.0)
+        assert (stats.arrivals, stats.pool_at_T, stats.total_wait) == (7, 2, 16.0)
+
+    def test_conservation_breach_raises(self):
+        with pytest.raises(NumericError, match="conservation"):
+            self.close_out(8, 0.0)
+
+    def test_waiting_time_identity_breach_raises(self):
+        with pytest.raises(NumericError, match="waiting-time identity"):
+            self.close_out(7, 1e-6)
 
 
 PROPERTY_DEPARTURES = [
@@ -198,24 +199,22 @@ def small_markets(draw) -> MarketConfig:
 
 
 class TestRunProperties:
-    @given(
-        small_markets(),
-        st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=3.0)),
-    )
+    @given(small_markets())
     @settings(max_examples=150, deadline=None)
-    def test_invariants_on_random_markets(self, cfg, burn_in):
+    def test_invariants_on_random_markets(self, cfg):
         # under the engine's oracle and the v1 reference; Hypothesis refuses
         # function-scoped fixtures, so the patch is made here
         for oracle in (PairCompatibilityOracle, ReferenceOracle):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(engine, "PairCompatibilityOracle", oracle)
-                self.check_invariants(cfg, burn_in)
+                self.check_invariants(cfg)
 
     @staticmethod
-    def check_invariants(cfg: MarketConfig, burn_in: float) -> None:
-        stats = run(cfg, keep_agents=True, burn_in=burn_in)
+    def check_invariants(cfg: MarketConfig) -> None:
+        stats = run(cfg, keep_agents=True)
         assert stats.arrivals == stats.matched + stats.perished + stats.pool_at_T
-        assert run(cfg, keep_agents=True, burn_in=burn_in) == stats
+        assert stats.matched % 2 == 0
+        assert run(cfg, keep_agents=True) == stats
         for agent in stats.agents:
             if agent.outcome == AgentOutcome.MATCHED:
                 other = stats.agents[agent.partner_id - 1]
@@ -224,9 +223,8 @@ class TestRunProperties:
                 assert other.outcome_time == agent.outcome_time
             else:
                 assert agent.partner_id is None
-        if burn_in == 0.0:
-            per_agent = math.fsum(min(a.outcome_time, cfg.T) - a.arrival_time for a in stats.agents)
-            assert abs(pool_integral(stats.pool_trajectory, cfg.T) - per_agent) <= 1e-9
+        per_agent = math.fsum(min(a.outcome_time, cfg.T) - a.arrival_time for a in stats.agents)
+        assert abs(pool_integral(stats.pool_trajectory, cfg.T) - per_agent) <= 1e-9
 
 
 class TestEquivalenceToReference:
@@ -395,17 +393,6 @@ class TestEventOrder:
         ("greedy-sojourn", "never"): (2070, 2028, 0, 42, "0x1.cc07a5e239aeap+8", 2071),
         ("greedy-sojourn", "mix"): (2070, 1980, 42, 48, "0x1.bb692a683a440p+8", 2113),
     }
-    # the same market at burn_in = 2, where total_wait is the window agents' sum
-    GOLDEN_BURN_IN = {
-        ("greedy", "const:1"): (2037, 1893, 95, 49, "0x1.a0053addb97c9p+8", 2566),
-        ("patient", "const:1"): (2037, 1782, 113, 142, "0x1.6b58c9b585a8ep+10", 3678),
-        ("greedy-sojourn", "const:1"): (2037, 1917, 75, 45, "0x1.9e250d8054f8cp+8", 2542),
-    }
-    GOLDEN_BURN_IN_V2 = {
-        ("greedy", "const:1"): (2037, 1892, 108, 37, "0x1.9ba11d007f7bfp+8", 2582),
-        ("patient", "const:1"): (2037, 1783, 117, 137, "0x1.671bf996fd6d1p+10", 3681),
-        ("greedy-sojourn", "const:1"): (2037, 1926, 73, 38, "0x1.ad27d39bf5596p+8", 2541),
-    }
     NEVER_SIDE = (2070, 2020, 0, 50, "0x1.aee9f06e31533p+8", 2071)
     GOLDEN_COUPLED = {
         "const:1": (2070, 1926, 96, 48, "0x1.8ffa0d7565159p+8", 2167),
@@ -463,9 +450,9 @@ class TestEventOrder:
         assert len(records) == stats.arrivals == 2070
         return hashlib.sha256(repr(records).encode()).hexdigest()
 
-    def golden_run(self, policy: str, departure: str, burn_in: float = 0.0) -> tuple:
+    def golden_run(self, policy: str, departure: str) -> tuple:
         cfg = config(policy=PolicyKind(policy), departure=self.GOLDEN_DEPARTURES[departure], seed=7)
-        return self.fingerprint(run(cfg, burn_in=burn_in))
+        return self.fingerprint(run(cfg))
 
     def golden_coupled(self, departure: str) -> tuple:
         stats_a, stats_b, gap = run_coupled(config(departure=self.GOLDEN_DEPARTURES[departure], seed=7))
@@ -482,11 +469,6 @@ class TestEventOrder:
         assert self.golden_run(policy, departure) == self.GOLDEN_RUN[policy, departure]
 
     @pytest.mark.usefixtures("reference_oracle")
-    @pytest.mark.parametrize("policy, departure", sorted(GOLDEN_BURN_IN))
-    def test_run_golden_burn_in(self, policy, departure):
-        assert self.golden_run(policy, departure, burn_in=2.0) == self.GOLDEN_BURN_IN[policy, departure]
-
-    @pytest.mark.usefixtures("reference_oracle")
     @pytest.mark.parametrize("departure", sorted(GOLDEN_COUPLED))
     def test_run_coupled_golden(self, departure):
         assert self.golden_coupled(departure) == (self.GOLDEN_COUPLED[departure], self.NEVER_SIDE, 0)
@@ -498,10 +480,6 @@ class TestEventOrder:
     @pytest.mark.parametrize("policy, departure", sorted(GOLDEN_RUN_V2))
     def test_run_golden_v2(self, policy, departure):
         assert self.golden_run(policy, departure) == self.GOLDEN_RUN_V2[policy, departure]
-
-    @pytest.mark.parametrize("policy, departure", sorted(GOLDEN_BURN_IN_V2))
-    def test_run_golden_burn_in_v2(self, policy, departure):
-        assert self.golden_run(policy, departure, burn_in=2.0) == self.GOLDEN_BURN_IN_V2[policy, departure]
 
     @pytest.mark.parametrize("departure", sorted(GOLDEN_COUPLED_V2))
     def test_run_coupled_golden_v2(self, departure):

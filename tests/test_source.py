@@ -150,3 +150,23 @@ def test_one_implementation_per_verification_check():
     assert not checks, f"checks defined in cli: {checks}"
     assert not used & work, f"cli does check work itself: {sorted(used & work)}"
     assert not imported & work, f"the acceptance suite imports check work: {sorted(imported & work)}"
+
+
+def test_one_run_semantics_and_one_ledger_close_out():
+    # run simulates [0, T] from an empty market, and one close-out builds
+    # every RunStats: a warm-up knob or a second ledger would bring back a
+    # run whose stats skip the waiting-time identity
+    tree = ast.parse((SRC / "engine.py").read_text())
+    builds = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "RunStats"
+    ]
+    defined = {
+        node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    run_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run")
+    params = [a.arg for a in run_def.args.posonlyargs + run_def.args.args + run_def.args.kwonlyargs]
+    assert len(builds) == 1, f"RunStats built at engine.py lines {builds}"
+    assert not defined & {"_Pool", "_kahan_extend"}, sorted(defined & {"_Pool", "_kahan_extend"})
+    assert params == ["config", "keep_agents"], f"run takes {params}"
