@@ -1,9 +1,9 @@
 """Exact event-driven simulation of one market run.
 
 Exactly one arrival is pending at any time, held as a plain float; only
-criticality events sit in a heap, as ``(critical_time, agent_id)`` tuples.
-The pending arrival goes first iff ``(next_arrival, len(agents)) <=
-heap[0]``: on an exact float time tie an arrival comes after the
+criticality events sit in a heap, as tuples led by ``(critical_time, id)``.
+The pending arrival goes first iff ``(next_arrival, n) <= heap[0]``, with n
+the agents so far: on an exact float time tie an arrival comes after the
 criticality of every older agent but before the criticality of the agent
 who arrived last.  This deterministic order realizes the almost-sure
 uniqueness of event times in the continuous model.  Processing stops at
@@ -11,13 +11,14 @@ the first event strictly after the horizon T: the pending arrival is
 discarded and still-pooled agents are counted at the horizon.  Under a
 ``Constant`` sojourn the critical times ``t + c`` never decrease with the
 id, so a FIFO ``deque`` replaces the heap and pops in exactly its
-``(critical_time, agent_id)`` order, ties included.
+``(critical_time, id)`` order, ties included.
 
 The loops keep pool accounting in locals (members, counts, trajectory, and
 Kahan sums of the pool integral and of the agent waits, in event order);
 ``_close_out`` finishes both sums at T, checks conservation and the
 waiting-time identity and builds the ``RunStats``.  ``run`` keeps one pool
-and ``run_coupled`` two.
+of entries ``(critical_time, id, arrival_time)`` and no per-arrival state;
+``run_coupled`` keeps two pools of ids.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
@@ -51,12 +52,6 @@ from .core import (
 # output bit.  2 draws compatibility as geometric gaps between hits, where 1
 # drew one uniform per pair.
 ENGINE_VERSION = 2
-
-# Outcome codes of the per-agent ``bytearray`` in ``run``, as plain ints: an
-# enum member lookup costs more than the loop step that reads it.
-_UNRESOLVED = int(AgentOutcome.UNRESOLVED)
-_MATCHED = int(AgentOutcome.MATCHED)
-_PERISHED = int(AgentOutcome.PERISHED)
 
 # One CSV row per run; fixed schema, versioned in the file header.
 RUN_CSV_COLUMNS = (
@@ -128,24 +123,24 @@ def pool_integral(trajectory: list[tuple[float, int]], T: float) -> float:
 
 
 def _close_out(config: MarketConfig, kind: str, arrivals: int, matched: int, perished: int,
-               pool: list[int], arrival: array, t_last: float, wait: float, wait_c: float,
+               pooled: list[float], t_last: float, wait: float, wait_c: float,
                agent_wait: float, agent_c: float, traj: list[tuple[float, int]] | None,
                agents: list[Agent] | None = None) -> RunStats:
     """The ledger of one pool at the horizon T, checked, as ``RunStats``.
 
     ``wait`` (compensation ``wait_c``) integrates the pool size up to
     ``t_last`` and ``agent_wait`` (``agent_c``) sums the waits of the agents
-    who left; both Kahan sums continue to T, over the still-pooled agents'
-    waits for the second, with the loops' update.  Conservation and the
-    waiting-time identity (the two totals agree) raise ``NumericError``.
+    who left; both Kahan sums continue to T with the loops' update, the
+    second over the still-pooled agents, who arrived at the times ``pooled``.
+    Conservation and the waiting-time identity raise ``NumericError``.
     """
     T = config.T
     if T > t_last:
-        wait += len(pool) * (T - t_last) - wait_c
-    for aid in pool:
-        y = T - arrival[aid] - agent_c
+        wait += len(pooled) * (T - t_last) - wait_c
+    for arrived in pooled:
+        y = T - arrived - agent_c
         agent_wait, agent_c = agent_wait + y, (agent_wait + y - agent_wait) - y
-    if arrivals != matched + perished + len(pool):
+    if arrivals != matched + perished + len(pooled):
         raise NumericError(f"conservation violated in the {kind} pool")
     if abs(wait - agent_wait) > 1e-9:
         raise NumericError(
@@ -161,7 +156,7 @@ def _close_out(config: MarketConfig, kind: str, arrivals: int, matched: int, per
         arrivals=arrivals,
         matched=matched,
         perished=perished,
-        pool_at_T=len(pool),
+        pool_at_T=len(pooled),
         total_wait=wait,
         pool_trajectory=traj,
         agents=agents,
@@ -169,25 +164,27 @@ def _close_out(config: MarketConfig, kind: str, arrivals: int, matched: int, per
 
 
 def _criticality_queue(departure) -> tuple:
-    """``(queue, push, pop)`` for criticality events ``(critical_time, id)``.
+    """``(queue, push, pop)`` for criticality events: ``run``'s pool entries
+    ``(critical_time, id, arrival_time)``, ``run_coupled``'s ``(critical_time, id)``.
 
     A FIFO ``deque`` under ``Constant`` (its events are pushed in heap
     order), else a heap, with ``heappush``/``heappop`` bound by ``partial``."""
     if isinstance(departure, Constant):
         queue = deque()
         return queue, queue.append, queue.popleft
-    heap: list[tuple[float, int]] = []
+    heap: list[tuple] = []
     return heap, partial(heappush, heap), partial(heappop, heap)
 
 
-def _pool_remove(pool: list[int], pos: dict[int, int], agent_id: int) -> None:
-    # Swap-remove keeps O(1); pool order is irrelevant here because every
-    # pair draw is fresh (see PairCompatibilityOracle).
+def _pool_remove(pool: list[tuple], pos: dict[int, int], agent_id: int) -> tuple:
+    # Swap-remove keeps O(1) and returns the removed entry; pool order is
+    # irrelevant here because every pair draw is fresh (see PairCompatibilityOracle).
     i = pos.pop(agent_id)
     last = pool.pop()
-    if last != agent_id:
-        pool[i] = last
-        pos[last] = i
+    if i < len(pool):
+        entry, pool[i], pos[last[1]] = pool[i], last, i
+        return entry
+    return last
 
 
 def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
@@ -200,8 +197,10 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
     the critical moment: the critical agent queries each other pool member
     once and matches uniformly among compatibles, or perishes.
 
-    Per-agent state lives in flat arrays indexed by id; ``Agent`` records
-    are built at the end, and only for ``keep_agents``.
+    A pooled agent is its entry ``(critical_time, id, arrival_time)``, in
+    the pool (``pos`` maps id to index) and in the criticality queue; an
+    event whose id left ``pos`` is stale.  ``Agent`` records are kept, and
+    checked against the counts, only for ``keep_agents``.
     """
     streams = RngStreams.from_seed(config.seed)
     arrivals = arrival_times(config.m, streams.interarrival).__next__
@@ -216,15 +215,9 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
     draw_sojourn = departure.sample
     queue, push, pop = _criticality_queue(departure)
 
-    # per-agent state, indexed by id (slot 0 unused)
-    arrival = array("d", [0.0])
-    sojourn = array("d", [0.0])
-    outcome = bytearray(1)
-    partner = array("q", [0])
-    outcome_time = array("d", [0.0])
+    agents: list[Agent] | None = [] if keep_agents else None  # agent id is index + 1
     n = 0  # agents so far
-
-    pool: list[int] = []
+    pool: list[tuple[float, int, float]] = []
     pos: dict[int, int] = {}
     traj = [(0.0, 0)] if config.pool_trace else None
     # Kahan sums (total, compensation) of the pool integral and the agent waits
@@ -238,18 +231,16 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
         if t > T:
             break
         if arriving:
-            n += 1
-            aid = n
+            aid = n = n + 1
             s = draw_sojourn(sojourns)
-            arrival.append(t)
-            sojourn.append(s)
-            outcome.append(_UNRESOLVED)
-            partner.append(0)
-            outcome_time.append(0.0)
+            entry = (t + s, n, t)
+            if agents is not None:
+                agents.append(Agent(n, t, s, t + s))
             next_arrival = arrivals()
         else:
-            aid = pop()[1]
-            if outcome[aid] != _UNRESOLVED:
+            entry = pop()
+            aid = entry[1]
+            if aid not in pos:
                 continue  # already matched; stale event
         if t > t_last:
             y = len(pool) * (t - t_last) - wait_c
@@ -259,54 +250,42 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
             _pool_remove(pool, pos, aid)
 
         # greedy flavors search at arrival, patient matching at criticality
-        partner_id = 0
-        if arriving != patient and pool:
-            hits = query(aid, pool)
-            if hits:
-                if by_sojourn:
-                    j = min(hits, key=lambda h: (arrival[pool[h]] + sojourn[pool[h]], pool[h]))
-                else:
-                    j = hits[tiebreak(len(hits))]
-                partner_id = pool[j]
-
-        if partner_id:
-            _pool_remove(pool, pos, partner_id)
-            outcome[aid] = outcome[partner_id] = _MATCHED
-            partner[aid], partner[partner_id] = partner_id, aid
-            outcome_time[aid] = outcome_time[partner_id] = t
-            y = t - arrival[partner_id] - agent_c
+        hits = arriving != patient and pool and query(aid, pool)
+        if hits:
+            j = min(hits, key=pool.__getitem__) if by_sojourn else hits[tiebreak(len(hits))]
+            partner = _pool_remove(pool, pos, pool[j][1])
+            y = t - partner[2] - agent_c
             agent_wait, agent_c = agent_wait + y, (agent_wait + y - agent_wait) - y
             matched += 2
+            if agents is not None:
+                me, other = agents[aid - 1], agents[partner[1] - 1]
+                me.outcome, me.partner_id, me.outcome_time = AgentOutcome.MATCHED, other.id, t
+                other.outcome, other.partner_id, other.outcome_time = AgentOutcome.MATCHED, aid, t
         elif arriving:
             pos[aid] = len(pool)
-            pool.append(aid)
-            if math.isfinite(t + s):
-                push((t + s, aid))
+            pool.append(entry)
+            if math.isfinite(entry[0]):
+                push(entry)
         else:
-            outcome[aid] = _PERISHED
-            outcome_time[aid] = t
             perished += 1
+            if agents is not None:
+                agents[aid - 1].outcome, agents[aid - 1].outcome_time = AgentOutcome.PERISHED, t
         if not arriving:  # an arriving agent leaves at once, with no wait
-            y = t - arrival[aid] - agent_c
+            y = t - entry[2] - agent_c
             agent_wait, agent_c = agent_wait + y, (agent_wait + y - agent_wait) - y
 
         if traj is not None and traj[-1][1] != len(pool):
             traj.append((t, len(pool)))
 
-    for aid in pool:
-        outcome[aid] = AgentOutcome.IN_POOL_AT_HORIZON
-        outcome_time[aid] = T
-    # each agent's final outcome must be the one the ledger counted
-    if (outcome.count(_MATCHED), outcome.count(_PERISHED)) != (matched, perished):
-        raise NumericError("per-agent outcomes disagree with the pool's counts")
-    agents = None
-    if keep_agents:
-        agents = [
-            Agent(i, arrival[i], sojourn[i], arrival[i] + sojourn[i], AgentOutcome(outcome[i]),
-                  partner[i] or None, outcome_time[i])
-            for i in range(1, n + 1)
-        ]
-    return _close_out(config, departure.kind, n, matched, perished, pool, arrival,
+    if agents is not None:
+        for entry in pool:
+            agents[entry[1] - 1].outcome = AgentOutcome.IN_POOL_AT_HORIZON
+            agents[entry[1] - 1].outcome_time = T
+        # each agent's final outcome must be the one the ledger counted
+        outcomes = Counter(agent.outcome for agent in agents)
+        if (outcomes[AgentOutcome.MATCHED], outcomes[AgentOutcome.PERISHED]) != (matched, perished):
+            raise NumericError("per-agent outcomes disagree with the pool's counts")
+    return _close_out(config, departure.kind, n, matched, perished, [e[2] for e in pool],
                       t_last, wait, wait_c, agent_wait, agent_c, traj, agents)
 
 
@@ -406,9 +385,9 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
                 b_traj.append((t, len(b_ids)))
 
     return (
-        _close_out(config, departure.kind, n, a_matched, perished, a_ids, arrival,
+        _close_out(config, departure.kind, n, a_matched, perished, [arrival[i] for i in a_ids],
                    t_last, a_wait, a_wait_c, a_agent, a_agent_c, a_traj),
-        _close_out(config, "never", n, b_matched, 0, b_ids, arrival,
+        _close_out(config, "never", n, b_matched, 0, [arrival[i] for i in b_ids],
                    t_last, b_wait, b_wait_c, b_agent, b_agent_c, b_traj),
         max_gap,
     )

@@ -228,8 +228,6 @@ class DominanceReport:
 
     n_records: int
     thresholds: np.ndarray
-    empirical: np.ndarray
-    expected: np.ndarray
     z_scores: np.ndarray
     per_record_exceedance: np.ndarray
     violations: tuple[int, ...]
@@ -269,14 +267,10 @@ def dominance_check(records: Sequence[tuple[int, int, int, int, int]]) -> Domina
     thresholds = np.arange(1, max_l + 1)
     violations = []
     z_scores = np.zeros(thresholds.size)
-    empirical = np.zeros(thresholds.size)
-    expected = np.zeros(thresholds.size)
     for idx, tau in enumerate(thresholds):
         p = survival[:, tau]
         mean = float(((k1_obs >= tau) - p).mean())
         se = math.sqrt(float((p * (1.0 - p)).sum())) / n
-        empirical[idx] = float((k1_obs >= tau).mean())
-        expected[idx] = float(p.mean())
         z_scores[idx] = mean / se if se > 0 else (math.inf if mean > 1e-12 else 0.0)
         if mean > 3.0 * se and mean > 1e-12:
             violations.append(int(tau))
@@ -284,8 +278,6 @@ def dominance_check(records: Sequence[tuple[int, int, int, int, int]]) -> Domina
     return DominanceReport(
         n_records=n,
         thresholds=thresholds,
-        empirical=empirical,
-        expected=expected,
         z_scores=z_scores,
         per_record_exceedance=per_record,
         violations=tuple(violations),

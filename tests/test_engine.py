@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,7 +99,8 @@ class TestRunBasics:
         query_block = PairCompatibilityOracle.query_block
 
         def recording(self, agent_id, member_ids):
-            for mid in member_ids:
+            for member in member_ids:  # run's pool entries (critical_time, id, arrival_time)
+                mid = member[1]
                 pair = (min(agent_id, mid), max(agent_id, mid))
                 if pair in seen:
                     raise AssertionError(f"pair {pair} queried twice")
@@ -115,9 +117,9 @@ class TestRunBasics:
 
         seen.clear()
         oracle = PairCompatibilityOracle(np.random.default_rng(0), 0.5)
-        oracle.query_block(1, [2, 3])
+        oracle.query_block(1, [(0.0, 2, 0.0), (0.0, 3, 0.0)])
         with pytest.raises(AssertionError, match="queried twice"):
-            oracle.query_block(3, [1])
+            oracle.query_block(3, [(0.0, 1, 0.0)])
 
     def test_matched_pairs_are_consistent(self):
         stats = run(config(policy=PolicyKind.PATIENT, seed=11), keep_agents=True)
@@ -158,7 +160,7 @@ class TestLedgerChecks:
         # 4 matched, 1 perished and agents 1 and 2 (arrived at 1 and 3) still
         # pooled at T = 10; a pool integral of 12 up to t = 8 plus the horizon
         # step 2 * (10 - 8) equals the pooled waits 9 + 7 on top of agent_wait = 0
-        return engine._close_out(config(T=10.0), "constant", arrivals, 4, 1, [1, 2], [0.0, 1.0, 3.0],
+        return engine._close_out(config(T=10.0), "constant", arrivals, 4, 1, [1.0, 3.0],
                                  8.0, 12.0, 0.0, agent_wait, 0.0, None)
 
     def test_balanced_ledger_passes(self):
@@ -172,6 +174,33 @@ class TestLedgerChecks:
     def test_waiting_time_identity_breach_raises(self):
         with pytest.raises(NumericError, match="waiting-time identity"):
             self.close_out(7, 1e-6)
+
+
+class TestRunMemory:
+    """A plain run keeps state only for pooled agents, so its memory follows
+    the pool, not the horizon."""
+
+    @staticmethod
+    def peak(cfg: MarketConfig) -> int:
+        tracemalloc.start()
+        try:
+            run(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("policy, departure", [
+        (PolicyKind.GREEDY, Constant(1.0)),
+        (PolicyKind.PATIENT, Exponential(1.0)),
+        (PolicyKind.GREEDY_SOJOURN, Exponential(1.0)),
+    ])
+    def test_peak_does_not_grow_with_the_horizon(self, policy, departure):
+        # no trajectory: it grows with T by design
+        cfg = config(m=300.0, d=5.0, T=20.0, policy=policy, departure=departure, pool_trace=False)
+        run(cfg)  # warm-up, so one-off first-call allocations count for neither horizon
+        short = self.peak(cfg)
+        long = self.peak(dataclasses.replace(cfg, T=100.0))
+        assert long <= 1.2 * short, f"tracemalloc peak {short} B at T=20 but {long} B at T=100"
 
 
 PROPERTY_DEPARTURES = [

@@ -170,3 +170,21 @@ def test_one_run_semantics_and_one_ledger_close_out():
     assert len(builds) == 1, f"RunStats built at engine.py lines {builds}"
     assert not defined & {"_Pool", "_kahan_extend"}, sorted(defined & {"_Pool", "_kahan_extend"})
     assert params == ["config", "keep_agents"], f"run takes {params}"
+
+
+def test_run_keeps_no_per_arrival_arrays():
+    # a pooled agent is its entry (critical_time, id, arrival_time), so a
+    # plain run's memory follows the pool; per-id arrays and the outcome
+    # codes that filled them would grow with every arrival again
+    tree = ast.parse((SRC / "engine.py").read_text())
+    run_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run")
+    calls = [
+        f"engine.py:{node.lineno}"
+        for node in ast.walk(run_def)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in {"array", "bytearray"}
+    ]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    codes = sorted(names & {"_UNRESOLVED", "_MATCHED", "_PERISHED"})
+    assert not calls, f"run builds per-arrival arrays at {calls}"
+    assert not codes, f"engine defines outcome codes {codes}"
