@@ -21,7 +21,6 @@ libraries.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
@@ -317,6 +316,22 @@ def tiebreaks(rng: np.random.Generator) -> Callable[[int], int]:
     return draw
 
 
+def hit_positions(rng: np.random.Generator, p: float) -> Iterator[int]:
+    """The ascending positions of the hits in a Bernoulli(p) sequence: running
+    sums, from -1, of the Geometric(p) gaps of successive scalar
+    ``rng.geometric(p)`` calls, drawn ``_COMPAT_BLOCK`` at a time.  The sums
+    are Python ints and cannot wrap; numpy caps a gap at 2^63 - 1, past any
+    position a run can reach.  It draws ahead, so it must be the only
+    consumer of ``rng``."""
+    hit = -1
+    while True:
+        gaps = rng.geometric(p, _COMPAT_BLOCK).tolist()
+        gaps[0] += hit
+        hits = list(accumulate(gaps))
+        yield from hits
+        hit = hits[-1]
+
+
 def departure_cdf(spec: DepartureSpec, x: float) -> float:
     """Mass of [0, x] under the departure distribution, exact per variant."""
     if x < 0:
@@ -437,26 +452,25 @@ class PairCompatibilityOracle:
     per run, so lazy drawing is distributionally exact.
 
     All queries share one Bernoulli(p) sequence: a query of n members takes
-    its next n positions.  The oracle draws only the positions of the hits,
-    as running sums of Geometric(p) gaps (the Bernoulli-skip method of
+    its next n positions.  The oracle is a cursor over ``hit_positions``,
+    which draws only the positions of the hits (the Bernoulli-skip method of
     Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005), so a query costs
-    per hit rather than per pair.  Gaps come a block at a time, at most one
-    block past the queried positions, so the oracle must be the only
-    consumer of ``rng``.  The sums are Python ints and cannot wrap; numpy
-    caps a gap at 2^63 - 1, past any position a run can reach.
+    per hit rather than per pair.  The cursor keeps the next position to use
+    and the last hit drawn, and draws the next hit only when a query reaches
+    past the last one, so gaps come at most one block past the queried
+    positions and a query with no hit costs one comparison.
+    ``hit_positions`` draws ahead, so the oracle must be the only consumer
+    of ``rng``.
     """
 
-    __slots__ = ("rng", "p", "_hits", "_next", "_pos", "_drawn")
+    __slots__ = ("_next_hit", "_hit", "_pos")
 
     def __init__(self, rng: np.random.Generator, p: float) -> None:
         if not 0 < p <= 1:
             raise ConfigError(f"compatibility probability must be in (0, 1], got {p}")
-        self.rng = rng
-        self.p = p
-        self._hits: list[int] = []  # ascending positions of the hits drawn so far
-        self._next = 0  # index in _hits of the first hit at or after _pos
+        self._next_hit = hit_positions(rng, p).__next__
+        self._hit = -1  # the last hit drawn; already returned iff below _pos
         self._pos = 0  # position of the next draw to use
-        self._drawn = 0  # positions decided so far: one past the last hit drawn
 
     def query_block(self, agent_id: int, member_ids: Sequence[int]) -> list[int]:
         """Query one agent against a block of pool members, one position each.
@@ -465,18 +479,17 @@ class PairCompatibilityOracle:
         members: each is a hit with probability ``p``, independently."""
         begin = self._pos
         end = self._pos = begin + len(member_ids)
-        if self._drawn < end:  # drop the used hits, then add the next blocks' hits
-            self._hits, self._next = self._hits[self._next:], 0
-            while self._drawn < end:
-                gaps = self.rng.geometric(self.p, _COMPAT_BLOCK).tolist()
-                gaps[0] += self._drawn - 1  # the first gap counts from the last hit
-                self._hits += accumulate(gaps)
-                self._drawn = self._hits[-1] + 1
-        hits, i = self._hits, self._next
-        if i == len(hits) or hits[i] >= end:
+        hit = self._hit
+        if hit >= end:
             return []
-        j = self._next = bisect_left(hits, end, i)
-        return [h - begin for h in hits[i:j]]
+        hits = [hit - begin] if hit >= begin else []
+        while hit < end - 1:  # a position below end is not decided yet
+            hit = self._next_hit()
+            hits.append(hit - begin)
+        if hit >= end:
+            hits.pop()
+        self._hit = hit
+        return hits
 
 
 # --------------------------------------------------------------------------

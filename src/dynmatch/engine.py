@@ -2,23 +2,24 @@
 
 Exactly one arrival is pending at any time, held as a plain float; only
 criticality events sit in a heap, as tuples led by ``(critical_time, id)``.
-The pending arrival goes first iff ``(next_arrival, n) <= heap[0]``, with n
-the agents so far: on an exact float time tie an arrival comes after the
-criticality of every older agent but before the criticality of the agent
-who arrived last.  This deterministic order realizes the almost-sure
-uniqueness of event times in the continuous model.  Processing stops at
-the first event strictly after the horizon T: the pending arrival is
-discarded and still-pooled agents are counted at the horizon.  Under a
-``Constant`` sojourn the critical times ``t + c`` never decrease with the
-id, so a FIFO ``deque`` replaces the heap and pops in exactly its
-``(critical_time, id)`` order, ties included.
+The next event is picked on floats first: with ``head = heap[0]`` and n the
+agents so far, the pending arrival goes first iff ``next_arrival < head[0]``
+or ``next_arrival == head[0] and n == head[1]``.  So on an exact float time
+tie an arrival comes after the criticality of every older agent but before
+the criticality of the agent who arrived last.  This deterministic order
+realizes the almost-sure uniqueness of event times in the continuous model.
+Processing stops at the first event strictly after the horizon T: the
+pending arrival is discarded and still-pooled agents are counted at the
+horizon.  Under a ``Constant`` sojourn the critical times ``t + c`` never
+decrease with the id, so a FIFO ``deque`` replaces the heap and pops in
+exactly its ``(critical_time, id)`` order, ties included.
 
-The loops keep pool accounting in locals (members, counts, trajectory, and
-Kahan sums of the pool integral and of the agent waits, in event order);
-``_close_out`` finishes both sums at T, checks conservation and the
-waiting-time identity and builds the ``RunStats``.  ``run`` keeps one pool
-of entries ``(critical_time, id, arrival_time)`` and no per-arrival state;
-``run_coupled`` keeps two pools of ids.
+The loops keep pool accounting in locals (members, sizes, counts,
+trajectory, and Kahan sums of the pool integral and of the agent waits, in
+event order); ``_close_out`` finishes both sums at T, checks conservation
+and the waiting-time identity and builds the ``RunStats``.  ``run`` keeps
+one pool of entries ``(critical_time, id, arrival_time)`` and no
+per-arrival state; ``run_coupled`` keeps two pools of ids.
 """
 
 from __future__ import annotations
@@ -176,17 +177,6 @@ def _criticality_queue(departure) -> tuple:
     return heap, partial(heappush, heap), partial(heappop, heap)
 
 
-def _pool_remove(pool: list[tuple], pos: dict[int, int], agent_id: int) -> tuple:
-    # Swap-remove keeps O(1) and returns the removed entry; pool order is
-    # irrelevant here because every pair draw is fresh (see PairCompatibilityOracle).
-    i = pos.pop(agent_id)
-    last = pool.pop()
-    if i < len(pool):
-        entry, pool[i], pos[last[1]] = pool[i], last, i
-        return entry
-    return last
-
-
 def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
     """Simulate one run under the configured policy and return its stats.
 
@@ -199,8 +189,10 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
 
     A pooled agent is its entry ``(critical_time, id, arrival_time)``, in
     the pool (``pos`` maps id to index) and in the criticality queue; an
-    event whose id left ``pos`` is stale.  ``Agent`` records are kept, and
-    checked against the counts, only for ``keep_agents``.
+    event whose id left ``pos`` is stale.  A leaving agent is swap-removed
+    from the pool in O(1); pool order is irrelevant because every pair draw
+    is fresh (see ``PairCompatibilityOracle``).  ``Agent`` records are kept,
+    and checked against the counts, only for ``keep_agents``.
     """
     streams = RngStreams.from_seed(config.seed)
     arrivals = arrival_times(config.m, streams.interarrival).__next__
@@ -216,7 +208,7 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
     queue, push, pop = _criticality_queue(departure)
 
     agents: list[Agent] | None = [] if keep_agents else None  # agent id is index + 1
-    n = 0  # agents so far
+    n = size = 0  # agents so far, agents pooled
     pool: list[tuple[float, int, float]] = []
     pos: dict[int, int] = {}
     traj = [(0.0, 0)] if config.pool_trace else None
@@ -226,8 +218,9 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
     next_arrival = arrivals()
 
     while True:
-        arriving = not queue or (next_arrival, n) <= queue[0]
-        t = next_arrival if arriving else queue[0][0]
+        arriving = not queue or next_arrival < (head := queue[0])[0] or (
+            next_arrival == head[0] and n == head[1])
+        t = next_arrival if arriving else head[0]
         if t > T:
             break
         if arriving:
@@ -243,17 +236,26 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
             if aid not in pos:
                 continue  # already matched; stale event
         if t > t_last:
-            y = len(pool) * (t - t_last) - wait_c
+            y = size * (t - t_last) - wait_c
             wait, wait_c = wait + y, (wait + y - wait) - y
             t_last = t
         if not arriving:
-            _pool_remove(pool, pos, aid)
+            i, last = pos.pop(aid), pool.pop()
+            size -= 1
+            if i < size:
+                pool[i], pos[last[1]] = last, i
 
         # greedy flavors search at arrival, patient matching at criticality
-        hits = arriving != patient and pool and query(aid, pool)
+        hits = arriving != patient and size and query(aid, pool)
         if hits:
-            j = min(hits, key=pool.__getitem__) if by_sojourn else hits[tiebreak(len(hits))]
-            partner = _pool_remove(pool, pos, pool[j][1])
+            j = hits[0]
+            if len(hits) > 1:
+                j = min(hits, key=pool.__getitem__) if by_sojourn else hits[tiebreak(len(hits))]
+            partner, last = pool[j], pool.pop()
+            del pos[partner[1]]
+            size -= 1
+            if j < size:
+                pool[j], pos[last[1]] = last, j
             y = t - partner[2] - agent_c
             agent_wait, agent_c = agent_wait + y, (agent_wait + y - agent_wait) - y
             matched += 2
@@ -262,9 +264,10 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
                 me.outcome, me.partner_id, me.outcome_time = AgentOutcome.MATCHED, other.id, t
                 other.outcome, other.partner_id, other.outcome_time = AgentOutcome.MATCHED, aid, t
         elif arriving:
-            pos[aid] = len(pool)
+            pos[aid] = size
+            size += 1
             pool.append(entry)
-            if math.isfinite(entry[0]):
+            if entry[0] != math.inf:
                 push(entry)
         else:
             perished += 1
@@ -274,8 +277,8 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
             y = t - entry[2] - agent_c
             agent_wait, agent_c = agent_wait + y, (agent_wait + y - agent_wait) - y
 
-        if traj is not None and traj[-1][1] != len(pool):
-            traj.append((t, len(pool)))
+        if traj is not None and traj[-1][1] != size:
+            traj.append((t, size))
 
     if agents is not None:
         for entry in pool:
@@ -329,8 +332,9 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
     a_matched = b_matched = perished = max_gap = 0
 
     while True:
-        arriving = not queue or (next_arrival, n) <= queue[0]
-        t = next_arrival if arriving else queue[0][0]
+        arriving = not queue or next_arrival < (head := queue[0])[0] or (
+            next_arrival == head[0] and n == head[1])
+        t = next_arrival if arriving else head[0]
         if t > T:
             break
         if t > t_last:
@@ -351,7 +355,7 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
             hits = query(n, a_ids if len(a_ids) >= len(b_ids) else b_ids)
             k = bisect_left(hits, len(a_ids))
             if k:
-                partner_id = a_ids.pop(hits[tiebreak(k)])
+                partner_id = a_ids.pop(hits[0] if k == 1 else hits[tiebreak(k)])
                 matched[partner_id] = 1
                 y = t - arrival[partner_id] - a_agent_c
                 a_agent, a_agent_c = a_agent + y, (a_agent + y - a_agent) - y
@@ -362,7 +366,7 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
                     push((t + s, n))
             k = bisect_left(hits, len(b_ids))
             if k:
-                partner_id = b_ids.pop(hits[tiebreak(k)])
+                partner_id = b_ids.pop(hits[0] if k == 1 else hits[tiebreak(k)])
                 y = t - arrival[partner_id] - b_agent_c
                 b_agent, b_agent_c = b_agent + y, (b_agent + y - b_agent) - y
                 b_matched += 2
@@ -377,7 +381,9 @@ def run_coupled(config: MarketConfig) -> tuple[RunStats, RunStats, int]:
             a_agent, a_agent_c = a_agent + y, (a_agent + y - a_agent) - y
             perished += 1
 
-        max_gap = max(max_gap, len(a_ids) - len(b_ids))
+        gap = len(a_ids) - len(b_ids)
+        if gap > max_gap:
+            max_gap = gap
         if a_traj is not None:
             if a_traj[-1][1] != len(a_ids):
                 a_traj.append((t, len(a_ids)))

@@ -34,6 +34,7 @@ from dynmatch.core import (
     departure_from_dict,
     departure_to_dict,
     exponential_icdf,
+    hit_positions,
     mix_seed,
     parse_departure_flag,
     sample_interarrival,
@@ -272,8 +273,8 @@ class TestCompatibilityOracle:
         oracle = PairCompatibilityOracle(rng(3), p)
         for k in [0, 1, 5, core._COMPAT_BLOCK, 2 * core._COMPAT_BLOCK + 7, 10**12, 3]:
             assert oracle.query_block(1, range(k)) == []
-        hits = oracle._hits
-        assert hits and hits[0] >= 0 and all(a < b for a, b in zip(hits, hits[1:]))
+        hits = list(itertools.islice(hit_positions(rng(3), p), 2 * core._COMPAT_BLOCK + 7))
+        assert hits[0] >= 0 and all(a < b for a, b in zip(hits, hits[1:]))
 
     @pytest.mark.parametrize("p", [0.5, 0.05, 1e-3])
     def test_gaps_are_geometric(self, p):
@@ -327,6 +328,15 @@ class TestBlockUniforms:
         for _ in range(n):
             t = t + sample_interarrival(3.0, scalar)
             assert next(times) == t
+
+    @pytest.mark.parametrize("p", [1.0, 0.05, 1e-6])
+    def test_hit_positions_are_running_sums_of_scalar_gaps(self, p):
+        n = 3 * core._COMPAT_BLOCK + 17
+        hits, scalar = hit_positions(rng(9), p), rng(9)
+        hit = -1
+        for _ in range(n):
+            hit += int(scalar.geometric(p))
+            assert next(hits) == hit
 
 
 class TestTiebreaks:

@@ -514,6 +514,25 @@ class TestEventOrder:
     def test_run_coupled_golden_v2(self, departure):
         assert self.golden_coupled(departure) == self.GOLDEN_COUPLED_V2[departure]
 
+    # sha256 of repr(run(...)) with pool_trace=True at the paper's scale of
+    # pool, m=1000, d=5, T=20, seed 7: 11k-35k compatibility hits, so 11-35
+    # blocks of geometric gaps, where the tables above draw 1-3
+    GOLDEN_PAPER_SCALE_V2 = {
+        ("greedy", "const:1"): "d364a84a084d07e5ea056d273fa1c3fcb9ae8d7ab9bfeab7352d9f5f15e5074d",
+        ("greedy", "exp:1"): "0cca216a12382440369f11e351ecaf0a44a23217b361c764c2258e26d3f50862",
+        ("patient", "const:1"): "f8d1a75a420337c8fdd3dbcf09fc09b6b4d1bc333ce37a701d45aa0cf9ea8fb2",
+        ("patient", "exp:1"): "153dc5804ce8ce0b54bc824def96fe8a9d0217a2f2befead916ac4d738a9026e",
+        ("greedy-sojourn", "const:1"): "9628dde221bf31ce37afe7f42a324752ff1f68afdb966d2d07e5d0b10b6a09f4",
+        ("greedy-sojourn", "exp:1"): "82dc5d899e0761d67ea25ee5988efedd641bea43cbfde6419840bead0b33b1a8",
+    }
+
+    @pytest.mark.parametrize("policy, departure", sorted(GOLDEN_PAPER_SCALE_V2))
+    def test_run_golden_paper_scale_v2(self, policy, departure):
+        cfg = config(m=1000.0, d=5.0, T=20.0, policy=PolicyKind(policy),
+                     departure=self.GOLDEN_DEPARTURES[departure], seed=7)
+        digest = hashlib.sha256(repr(run(cfg)).encode()).hexdigest()
+        assert digest == self.GOLDEN_PAPER_SCALE_V2[policy, departure]
+
 
 class TestPoolIntegral:
     def test_empty_trajectory(self):
