@@ -7,6 +7,20 @@ otherwise, so the embedded discrete chain has p(k, k+1) = (1 - d/m)^k,
 p(k, k-1) = 1 - (1 - d/m)^k, and p(0, 1) = 1.  Its stationary
 distribution is computed by the detailed-balance recursion in log space
 with a certified geometric tail.
+
+The tail decay the loss and waiting bounds rest on holds for every m >= 10
+and 0 < d < m (at d = m every ratio is 0), so nothing checks it at run time.
+Let L = ln m, x = 10/L, b = e^-x, A = c1*log(2)*m/d, t = ceil(A), ext = A + 1.5*L^2.
+1. q^t <= e^(-t*d/m) <= 2^-c1 = b/2, so r(t) <= rho := b/(2 - b) < b; r falls
+   in k, so past A every balance ratio is below b.
+2. -ln rho = x + ln(2 - e^-x) >= x, so rho <= e^-x and 1/(1 - rho) <= 1 + 1/x.
+3. pi(t) <= 1, so pi(k) <= rho^(k-t) for k >= t, and the mass above ext is at
+   most rho^n/(1 - rho) with n = floor(ext) + 1 - t > 1.5*L^2 - 1.
+4. rho^n <= e^(-x*(1.5*L^2 - 1)) = m^-15 * e^x, so that mass is at most
+   m^-15 * e^(10/L) * (1 + L/10) <= m^-9, as 10/L + L/10 <= 6L for L >= ln 10.
+``mass_above`` walks the same falling ratios from a size whose mass is at most
+1, so the value it returns obeys the same bound while m^-9 stays above its
+e^-800 underflow floor (m below about 1e38).
 """
 
 from __future__ import annotations
@@ -156,48 +170,6 @@ def bound_constants(m: float, d: float) -> BoundConstants:
     c1 = 1.0 + 10.0 / (math.log(2) * math.log(m))
     step = d * math.log(m) ** 2 / (m * math.log(2))
     return BoundConstants(c1, c1 + 2 * step, c1 + 4 * step)
-
-
-@dataclass(frozen=True)
-class TailDecayReport:
-    """Certified geometric decay of the stationary tail."""
-
-    threshold: int
-    decay_bound: float
-    max_ratio_beyond: float
-    extended_threshold: float
-    mass_beyond: float
-    mass_cap: float
-    passed: bool
-
-
-def stationary_tail_decay(dist: StationaryDistribution) -> TailDecayReport:
-    """Check the per-step tail decay of a stationary distribution.
-
-    Beyond pool size c1*log(2)*m/d every balance ratio must fall below
-    b = exp(-10/log m), and the mass above that threshold plus 1.5*log(m)^2
-    must not exceed m^-9.  The ratios fall, so the largest is r(threshold), 0 at d = m.
-
-    The ratio half cannot fail: at t = ceil(c1*log(2)*m/d), q^t <= exp(-t*d/m)
-    <= 2^-c1 = b/2, so r(t) = q^t / (1 - q^(t+1)) <= (b/2) / (1 - b/2) < b for
-    every m > 1 and d <= m.  Only the mass half tests the chain."""
-    m, d = dist.params.m, dist.params.d
-    consts = bound_constants(m, d)
-    threshold = math.ceil(consts.c1 * math.log(2) * m / d)
-    extended = consts.c1 * math.log(2) * m / d + 1.5 * math.log(m) ** 2
-    max_ratio = math.exp(log_balance_ratio(threshold, math.log1p(-d / m))) if d < m else 0.0
-    decay_bound = math.exp(-10.0 / math.log(m))
-    mass_beyond = dist.mass_above(extended)
-    mass_cap = m**-9
-    return TailDecayReport(
-        threshold=threshold,
-        decay_bound=decay_bound,
-        max_ratio_beyond=max_ratio,
-        extended_threshold=extended,
-        mass_beyond=mass_beyond,
-        mass_cap=mass_cap,
-        passed=(max_ratio <= decay_bound and mass_beyond <= mass_cap),
-    )
 
 
 # --------------------------------------------------------------------------

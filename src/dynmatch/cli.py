@@ -118,8 +118,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[RunStats]:
     ]
     if jobs == 1:
         return [_run_cell(cell) for cell in cells]
-    # the executor rejects jobs < 1 before any cell runs
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the executor rejects jobs < 1 before any cell runs, and forks all its
+    # workers at the first submit, so it gets no more than can be kept busy
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells), os.cpu_count() or 1)) as pool:
         return list(pool.map(_run_cell, cells, chunksize=4))
 
 
@@ -250,7 +251,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     wait_lower, wait_upper = analytics.waiting_bounds(args.m, args.T, args.d, eps, mass)
     # every input is checked above, before the one chain is built
     dist = analytics.stationary(params, tail_tol=args.tail_tol)
-    decay = analytics.stationary_tail_decay(dist) if args.m >= 100 else None
 
     report = {
         "m": args.m,
@@ -268,16 +268,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ),
         },
         "constants": {"c1": consts.c1, "c2": consts.c2, "c3": consts.c3},
-        "tail_decay_check": None
-        if decay is None
-        else {
-            "pass": decay.passed,
-            "threshold": decay.threshold,
-            "max_ratio_beyond": decay.max_ratio_beyond,
-            "decay_bound": decay.decay_bound,
-            "mass_beyond": decay.mass_beyond,
-            "mass_cap": decay.mass_cap,
-        },
         "loss_bounds": {
             "gdy_upper": gdy_upper,
             "gdy_lower": gdy_lower,

@@ -24,7 +24,6 @@ from dynmatch.analytics import (
     pat_loss_upper,
     stationary,
     stationary_mean,
-    stationary_tail_decay,
     waiting_bounds,
 )
 
@@ -125,12 +124,6 @@ class TestStationary:
         assert dist.probs[:2] == pytest.approx([0.5, 0.5], abs=1e-12)
         assert abs(dist.probs.sum() + dist.tail_bound - 1.0) < 1e-12
 
-    def test_tail_decay_certificate_at_thousand(self):
-        report = stationary_tail_decay(stationary(ChainParams(1e3, 5.0)))
-        assert report.passed
-        assert report.max_ratio_beyond <= report.decay_bound
-        assert report.mass_beyond <= report.mass_cap
-
     def test_mean_cap_at_large_market(self):
         dist = stationary(ChainParams(1e4, 5.0))
         mean = stationary_mean(dist)
@@ -149,6 +142,12 @@ class TestStationary:
             stationary_mean(dist)
 
 
+def tail_threshold(m: float, d: float) -> tuple[float, float]:
+    """A = c1*log(2)*m/d and ext = A + 1.5*ln(m)^2, as in the analytics module's proof."""
+    A = bound_constants(m, d).c1 * math.log(2) * m / d
+    return A, A + 1.5 * math.log(m) ** 2
+
+
 # The tail-decay verdicts recorded when the check still built its own longer
 # chain (past the extended threshold, at tail_tol 1e-12) on the grid of m and
 # the densities below plus d = m: every one of the 95 points passed.
@@ -158,27 +157,59 @@ RECORDED_VERDICTS = {(m, d): True for m in _GRID_M for d in sorted({*_GRID_D, m}
 
 
 class TestTailDecayCertificate:
+    # the module docstring proves that past A every ratio is below
+    # exp(-10/ln m) and the mass above ext is at most m^-9; these tests can
+    # fail where that proof or the computed tail does not hold
+
+    @given(st.floats(min_value=10.0, max_value=1e300), st.floats(min_value=1e-12, max_value=1.0, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_mass_past_the_extended_threshold(self, m, fraction):
+        # n log r(t) - log(1 - r(t)) bounds the log of the mass above ext;
+        # in log space m^-9 cannot underflow
+        d = fraction * m
+        A, ext = tail_threshold(m, d)
+        t = math.ceil(A)
+        n = math.floor(ext) + 1 - t
+        log_r = log_balance_ratio(t, math.log1p(-d / m))
+        assert log_r < -10.0 / math.log(m)
+        assert n * log_r - math.log(-math.expm1(log_r)) <= -9.0 * math.log(m)
+
+    @given(
+        st.floats(min_value=100.0, max_value=1e5),
+        st.one_of(st.just(1.0), st.floats(min_value=1e-4, max_value=1.0)),
+        st.sampled_from([1e-300, 1e-12, 1e-3, 0.5]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_computed_mass_past_the_extended_threshold(self, m, fraction, tail_tol):
+        # the value mass_above returns, whichever branch computes it
+        d = fraction * m
+        _, ext = tail_threshold(m, d)
+        assert stationary(ChainParams(m, d), tail_tol=tail_tol).mass_above(ext) <= m**-9
+
     @pytest.mark.parametrize("tail_tol", [1e-12, 1e-3, 0.5])
     def test_verdicts_as_recorded(self, tail_tol):
+        # a point passes when the ratio at A is below exp(-10/ln m) (0 at
+        # d = m) and mass_above(ext) is at most m^-9
         assert len(RECORDED_VERDICTS) == 95
         for (m, d), passed in RECORDED_VERDICTS.items():
-            report = stationary_tail_decay(stationary(ChainParams(m, d), tail_tol=tail_tol))
-            assert report.passed is passed, (m, d)
+            A, ext = tail_threshold(m, d)
+            max_ratio = math.exp(log_balance_ratio(math.ceil(A), math.log1p(-d / m))) if d < m else 0.0
+            mass = stationary(ChainParams(m, d), tail_tol=tail_tol).mass_above(ext)
+            verdict = max_ratio <= math.exp(-10.0 / math.log(m)) and mass <= m**-9
+            assert verdict is passed, (m, d)
 
     @pytest.mark.parametrize("m,d", [(10.0, 1.0), (100.0, 5.0), (1e3, 5.0), (1e3, 300.0), (1e4, 20.0)])
     def test_max_ratio_is_the_closed_form_ratio_at_the_threshold(self, m, d):
-        params = ChainParams(m, d)
-        report = stationary_tail_decay(stationary(params))
-        assert report.max_ratio_beyond == math.exp(log_balance_ratio(report.threshold, math.log1p(-d / m)))
-        longer = stationary(params, tail_tol=1e-300)
-        ratios = np.exp(np.diff(longer.log_probs[report.threshold :]))
+        # r falls in k, so no ratio of a longer chain past t exceeds r(t)
+        t = math.ceil(tail_threshold(m, d)[0])
+        r_t = math.exp(log_balance_ratio(t, math.log1p(-d / m)))
+        longer = stationary(ChainParams(m, d), tail_tol=1e-300)
+        ratios = np.exp(np.diff(longer.log_probs[t:]))
         assert ratios.size > 0
-        assert ratios.max() <= report.max_ratio_beyond * (1.0 + 1e-9)
+        assert ratios.max() <= r_t * (1.0 + 1e-9)
 
     def test_two_state_chain(self):
         dist = stationary(ChainParams(300.0, 300.0))
-        report = stationary_tail_decay(dist)
-        assert report.max_ratio_beyond == 0.0 and report.mass_beyond == 0.0 and report.passed
         assert dist.mass_above(1e9) == 0.0
 
     @given(
