@@ -211,21 +211,20 @@ def pat_loss_upper(d: float) -> float:
     return math.exp(-d / 5.0)
 
 
-def waiting_bounds(
-    m: float, T: float, d: float, c_min: float, mass_at_least_c: float
-) -> tuple[float | None, float]:
+def waiting_bounds(m: float, T: float, d: float, c_min: float) -> tuple[float | None, float]:
     """(lower, upper) bounds on the expected total waiting time under greedy.
 
     Upper bound 6mT/(5d) holds for any departure distribution (m large).
-    The lower bound mT/(8d) needs mass more than 9/10 on [c, inf] with
-    c > 1/d; when that certification fails the lower bound is None.
+    The lower bound mT/(8d) needs every sojourn at least ``c_min`` (the
+    caller certifies this: ``c_min`` is a support minimum, e.g. from
+    ``support_min``) with ``c_min > 1/d``; otherwise the lower bound is None.
     """
     if not all(math.isfinite(x) and x > 0 for x in (m, T, d)):
         raise DomainError(f"need finite m, T, d > 0, got m={m}, T={T}, d={d}")
     upper = 6.0 * m * T / (5.0 * d)
     if not math.isfinite(upper):
         raise DomainError(f"waiting bound 6mT/(5d) overflows at m={m}, T={T}, d={d}")
-    lower = m * T / (8.0 * d) if (mass_at_least_c > 0.9 and c_min > 1.0 / d) else None
+    lower = m * T / (8.0 * d) if c_min > 1.0 / d else None
     return lower, upper
 
 

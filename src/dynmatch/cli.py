@@ -36,7 +36,6 @@ from .core import (
     RangeError,
     Uniform,
     check_seed,
-    departure_at_least,
     departure_cdf,
     departure_to_dict,
     mix_seed,
@@ -247,8 +246,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     delta = departure_cdf(departure, eps_lb)
     gdy_lower = analytics.gdy_loss_lower(args.d, eps_lb, delta)
     pat_upper = analytics.pat_loss_upper(args.d) if departure == Constant(1.0) else None
-    mass = departure_at_least(departure, eps)
-    wait_lower, wait_upper = analytics.waiting_bounds(args.m, args.T, args.d, eps, mass)
+    wait_lower, wait_upper = analytics.waiting_bounds(args.m, args.T, args.d, eps)
     # every input is checked above, before the one chain is built
     dist = analytics.stationary(params, tail_tol=args.tail_tol)
 

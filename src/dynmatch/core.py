@@ -24,7 +24,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from typing import ClassVar, Union
 
 import numpy as np
@@ -99,9 +99,10 @@ class PolicyKind(str, Enum):
 # Departure (maximum-sojourn) distributions
 #
 # Each variant owns its law (``sample(u)`` with ``u()`` the next uniform, the
-# exact masses ``cdf`` of [0, x] and ``at_least`` of [x, inf], ``support_min``)
-# and its names: ``kind`` in JSON, ``flag`` in the CLI syntax.  Its fields
-# are its parameters in both.
+# exact mass ``cdf`` of [0, x], and ``support_min``, the least sojourn in its
+# support: no mass lies below it, so it is the ``c_min`` the greedy loss and
+# waiting bounds take) and its names: ``kind`` in JSON, ``flag`` in the CLI
+# syntax.  Its fields are its parameters in both.
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,6 @@ class Constant:
     def cdf(self, x: float) -> float:
         return 1.0 if x >= self.c else 0.0
 
-    def at_least(self, x: float) -> float:
-        return 1.0 if self.c >= x else 0.0
-
     def support_min(self) -> float:
         return self.c
 
@@ -144,9 +142,6 @@ class Exponential:
 
     def cdf(self, x: float) -> float:
         return -math.expm1(-self.rate * x)
-
-    def at_least(self, x: float) -> float:
-        return math.exp(-self.rate * x)
 
     def support_min(self) -> float:
         return 0.0
@@ -173,13 +168,6 @@ class Uniform:
             return 1.0
         return (x - self.a) / (self.b - self.a)
 
-    def at_least(self, x: float) -> float:
-        if x <= self.a:
-            return 1.0
-        if x >= self.b:
-            return 0.0
-        return (self.b - x) / (self.b - self.a)
-
     def support_min(self) -> float:
         return self.a
 
@@ -196,9 +184,6 @@ class NeverPerish:
 
     def cdf(self, x: float) -> float:
         return 0.0
-
-    def at_least(self, x: float) -> float:
-        return 1.0
 
     def support_min(self) -> float:
         return math.inf
@@ -234,9 +219,6 @@ class Mixture:
     def cdf(self, x: float) -> float:
         return math.fsum(w * comp.cdf(x) for w, comp in self.components)
 
-    def at_least(self, x: float) -> float:
-        return math.fsum(w * comp.at_least(x) for w, comp in self.components)
-
     def support_min(self) -> float:
         return min(comp.support_min() for _, comp in self.components)
 
@@ -267,26 +249,26 @@ _UNIFORM_BLOCK = 1024
 _COMPAT_BLOCK = 1024
 
 
+def _blocks(draw: Callable[[], list]) -> Iterator:
+    """The items of ``draw()``, ``draw()``, ... in turn, one list per call;
+    lazy, so nothing is drawn before the first item is asked for."""
+    return chain.from_iterable(iter(draw, None))
+
+
 def uniforms(rng: np.random.Generator) -> Iterator[float]:
     """The floats of successive scalar ``rng.random()`` calls, drawn
     ``_UNIFORM_BLOCK`` at a time (``rng.random(n)`` is exactly n scalar
     calls).  It draws ahead, so it must be the only consumer of ``rng``."""
-    while True:
-        yield from rng.random(_UNIFORM_BLOCK).tolist()
+    return _blocks(lambda: rng.random(_UNIFORM_BLOCK).tolist())
 
 
 def arrival_times(m: float, rng: np.random.Generator) -> Iterator[float]:
     """Poisson(m) arrival times from 0: running sums of the Exponential(m)
     gaps ``exponential_icdf(u, m)`` of ``uniforms(rng)``, the same float
     additions in the same order as ``t = t + sample_interarrival(m, rng)``.
-    Each block's gaps and sums are computed at once; the first time is the
-    first gap itself (``initial=None``)."""
-    t = None
-    while True:
-        times = list(accumulate([-math.log1p(-u) / m for u in rng.random(_UNIFORM_BLOCK).tolist()],
-                                initial=t))
-        yield from times if t is None else times[1:]
-        t = times[-1]
+    The gaps come a block at a time; the sums run over the whole stream."""
+    gaps = _blocks(lambda: [-math.log1p(-u) / m for u in rng.random(_UNIFORM_BLOCK).tolist()])
+    return accumulate(gaps)
 
 
 def tiebreaks(rng: np.random.Generator) -> Callable[[int], int]:
@@ -297,11 +279,9 @@ def tiebreaks(rng: np.random.Generator) -> Callable[[int], int]:
     does): ``k == 1`` draws nothing, and ``x = w * k`` is redrawn while
     ``x mod 2^32 < (2^32 - k) mod k``; the draw is ``x >> 32``.  It draws
     ahead, so it must be the only consumer of ``rng``."""
-    def words() -> Iterator[int]:
-        while True:  # little-endian 32-bit view of each word: low half first
-            yield from rng.bit_generator.random_raw(_UNIFORM_BLOCK).astype("<u8").view("<u4").tolist()
-
-    half = words().__next__
+    half = _blocks(  # little-endian 32-bit view of each word: low half first
+        lambda: rng.bit_generator.random_raw(_UNIFORM_BLOCK).astype("<u8").view("<u4").tolist()
+    ).__next__
 
     def draw(k: int) -> int:
         if k == 1:
@@ -323,13 +303,8 @@ def hit_positions(rng: np.random.Generator, p: float) -> Iterator[int]:
     are Python ints and cannot wrap; numpy caps a gap at 2^63 - 1, past any
     position a run can reach.  It draws ahead, so it must be the only
     consumer of ``rng``."""
-    hit = -1
-    while True:
-        gaps = rng.geometric(p, _COMPAT_BLOCK).tolist()
-        gaps[0] += hit
-        hits = list(accumulate(gaps))
-        yield from hits
-        hit = hits[-1]
+    hits = accumulate(_blocks(lambda: rng.geometric(p, _COMPAT_BLOCK).tolist()), initial=-1)
+    return islice(hits, 1, None)  # from the first hit, past the -1
 
 
 def departure_cdf(spec: DepartureSpec, x: float) -> float:
@@ -337,14 +312,6 @@ def departure_cdf(spec: DepartureSpec, x: float) -> float:
     if x < 0:
         raise DomainError(f"cdf argument must be >= 0, got {x}")
     return spec.cdf(x)
-
-
-def departure_at_least(spec: DepartureSpec, x: float) -> float:
-    """Mass of [x, inf] under the departure distribution, exact per variant
-    (a point mass at x included; NeverPerish puts all its mass at +inf)."""
-    if x < 0:
-        raise DomainError(f"tail argument must be >= 0, got {x}")
-    return spec.at_least(x)
 
 
 def departure_to_dict(spec: DepartureSpec) -> dict:
@@ -436,7 +403,6 @@ class Agent:
 
     id: int
     arrival_time: float
-    max_sojourn: float
     critical_time: float
     outcome: int = AgentOutcome.UNRESOLVED
     partner_id: int | None = None

@@ -228,7 +228,7 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
             s = draw_sojourn(sojourns)
             entry = (t + s, n, t)
             if agents is not None:
-                agents.append(Agent(n, t, s, t + s))
+                agents.append(Agent(n, t, t + s))
             next_arrival = arrivals()
         else:
             entry = pop()

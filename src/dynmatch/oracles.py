@@ -391,15 +391,13 @@ def check_dominance(seeds: Sequence[int]) -> dict:
 
 
 def check_identities(configs: Sequence[MarketConfig]) -> dict:
-    """Conservation (arrivals = matched + perished + pool at T) and the
-    waiting-time identity (pool integral = per-agent waiting sum, within
-    1e-9) on one traced run per config."""
+    """The waiting-time identity (pool integral = per-agent waiting sum,
+    within 1e-9) on one traced run per config; ``run`` itself refuses a
+    ledger that breaks conservation."""
     failures = []
     worst = 0.0
     for i, config in enumerate(configs):
         stats = run(replace(config, pool_trace=True), keep_agents=True)
-        if stats.arrivals != stats.matched + stats.perished + stats.pool_at_T:
-            failures.append({"case": i, "reason": "conservation"})
         integral = pool_integral(stats.pool_trajectory, config.T)
         per_agent = math.fsum(min(a.outcome_time, config.T) - a.arrival_time for a in stats.agents)
         worst = max(worst, abs(integral - per_agent))

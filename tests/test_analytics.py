@@ -294,21 +294,21 @@ class TestLossBounds:
 
 class TestWaitingBounds:
     def test_reference_values(self):
-        lower, upper = waiting_bounds(1000.0, 100.0, 5.0, c_min=1.0, mass_at_least_c=1.0)
+        lower, upper = waiting_bounds(1000.0, 100.0, 5.0, c_min=1.0)
         assert (lower, upper) == (2500.0, 24000.0)
         assert lower / (1000.0 * 100.0) == pytest.approx(0.025)
         assert upper / (1000.0 * 100.0) == pytest.approx(0.24)
 
     def test_lower_requires_certification(self):
-        lower, _ = waiting_bounds(1000.0, 100.0, 5.0, c_min=1.0, mass_at_least_c=0.5)
-        assert lower is None
-        lower, _ = waiting_bounds(1000.0, 100.0, 5.0, c_min=0.1, mass_at_least_c=1.0)
-        assert lower is None
+        # c_min is a certified support minimum; the bound needs c_min > 1/d
+        assert waiting_bounds(1000.0, 100.0, 5.0, c_min=0.1)[0] is None
+        assert waiting_bounds(1000.0, 100.0, 5.0, c_min=0.2)[0] is None
+        assert waiting_bounds(1000.0, 100.0, 5.0, c_min=math.nextafter(0.2, 1.0))[0] == 2500.0
 
     def test_bounds_shrink_with_density(self):
         prev = math.inf
         for d in (2.0, 5.0, 20.0, 200.0):
-            _, upper = waiting_bounds(1000.0, 100.0, d, 1.0, 1.0)
+            _, upper = waiting_bounds(1000.0, 100.0, d, 1.0)
             assert upper < prev
             prev = upper
 

@@ -456,6 +456,22 @@ class TestAnalyze:
         mass = report["stationary"]["mass_above_c1_threshold"]
         assert math.isfinite(mass) and mass <= report["stationary"]["tail_bound"]
 
+    @pytest.mark.parametrize(
+        "departure, certified",
+        [
+            ("never", True),
+            ("mix:0.5*const:1,0.5*unif:0.5:1.5", True),  # support minimum 0.5 > 1/d
+            ("const:0.2", False),  # c = 1/d exactly
+            ("unif:0.1:1.5", False),
+        ],
+    )
+    def test_waiting_lower_bound_rests_on_the_support_minimum(self, capsys, departure, certified):
+        m, d, T = 1000.0, 5.0, 7.0
+        code, out = run_cli(capsys, "analyze", "--m", str(m), "--d", str(d), "--T", str(T),
+                            "--departure", departure)
+        assert code == 0
+        assert json.loads(out)["waiting_bounds"]["total_lower"] == (m * T / (8 * d) if certified else None)
+
     def test_far_constant_departure_certifies_waiting_lower_bound(self, capsys):
         # the atom at c = 20000 is found exactly, not by a probe below c
         code, out = run_cli(capsys, "analyze", "--m", "1000", "--d", "5", "--departure", "const:20000")

@@ -29,7 +29,6 @@ from dynmatch.core import (
     RngStreams,
     Uniform,
     arrival_times,
-    departure_at_least,
     departure_cdf,
     departure_from_dict,
     departure_to_dict,
@@ -46,6 +45,21 @@ from dynmatch.core import (
 
 def rng(seed: int = 1) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+_positive = st.floats(min_value=1e-3, max_value=1e3)
+departures = st.recursive(
+    st.one_of(
+        st.builds(Constant, st.floats(min_value=0.0, max_value=1e4)),
+        st.builds(Exponential, _positive),
+        st.builds(lambda a, width: Uniform(a, a + width), st.floats(min_value=0.0, max_value=1e3), _positive),
+        st.just(NeverPerish()),
+    ),
+    lambda inner: st.lists(st.tuples(_positive, inner), min_size=1, max_size=4).map(
+        lambda components: Mixture(tuple(components))
+    ),
+    max_leaves=8,
+)
 
 
 class TestDepartureSpecs:
@@ -108,24 +122,16 @@ class TestDepartureCdf:
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
             departure_cdf(Constant(1.0), -0.1)
-        with pytest.raises(DomainError):
-            departure_at_least(Constant(1.0), -0.1)
 
-    def test_at_least_counts_atoms_exactly(self):
-        # a 1e-12 probe below x == 20000.0 rounds back to x; the atom must stay
-        assert departure_at_least(Constant(20000.0), 20000.0) == 1.0
-        assert departure_at_least(Constant(20000.0), math.nextafter(20000.0, math.inf)) == 0.0
-        two_point = Mixture(((0.5, Constant(1.0)), (0.5, Constant(3.0))))
-        assert departure_at_least(two_point, 1.0) == 1.0
-        assert departure_at_least(two_point, 3.0) == 0.5
-        assert departure_at_least(NeverPerish(), math.inf) == 1.0
-
-    @pytest.mark.parametrize(
-        "spec, x",
-        [(Exponential(1.3), 0.7), (Uniform(0.5, 1.5), 0.9), (Uniform(0.5, 1.5), 0.2)],
-    )
-    def test_at_least_complements_continuous_cdf(self, spec, x):
-        assert departure_at_least(spec, x) == pytest.approx(1.0 - departure_cdf(spec, x), abs=1e-15)
+    @given(departures, st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_no_mass_below_the_support_minimum(self, spec, seed):
+        # the greedy loss and waiting bounds take support_min() as the least sojourn
+        low = spec.support_min()
+        below = [x for x in (0.0, 0.5 * low, math.nextafter(low, 0.0)) if x < low]
+        assert all(departure_cdf(spec, x) == 0.0 for x in below)
+        u = uniforms(rng(seed)).__next__
+        assert all(spec.sample(u) >= low for _ in range(200))
 
     @given(st.floats(min_value=0.0, max_value=10.0), st.floats(min_value=0.0, max_value=10.0))
     @settings(max_examples=100, deadline=None)

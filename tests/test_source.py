@@ -188,3 +188,12 @@ def test_run_keeps_no_per_arrival_arrays():
     codes = sorted(names & {"_UNRESOLVED", "_MATCHED", "_PERISHED"})
     assert not calls, f"run builds per-arrival arrays at {calls}"
     assert not codes, f"engine defines outcome codes {codes}"
+
+
+def test_core_streams_have_no_hand_written_loops():
+    # the four block-drawn streams are one helper, _blocks, composed with
+    # itertools; a generator with its own refill loop would bring back the
+    # carries and the special first block the running sums no longer need
+    tree = ast.parse((SRC / "core.py").read_text())
+    found = [f"core.py:{node.lineno}" for node in ast.walk(tree) if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert not found, f"generators in core: {found}"
