@@ -514,6 +514,27 @@ class TestVerify:
             {"name": "coupling", "runs": 3, "max_gap": 2, "threshold": 1, "pass": False}
         ]
 
+    def test_failed_urn_exits_1_with_its_statistic(self, capsys, monkeypatch):
+        urn_pmf = oracles.urn_pmf
+        monkeypatch.setattr(oracles, "urn_pmf", lambda spec, k: 1.01 * urn_pmf(spec, k))
+        code, out = run_cli(capsys, "verify", "--check", "urn", "--runs", "1")
+        assert code == 1
+        report = json.loads(out)
+        (urn,) = report["checks"]
+        assert report["pass"] is False and urn["pass"] is False
+        assert urn["max_pmf_error"] == pytest.approx(0.01, rel=1e-9)
+        assert [f["spec"] for f in urn["failures"]] == [
+            {"red": red, "blue": blue, "draws": draws}
+            for red, blue, draws in ((2, 2, 2), (40, 60, 50), (30, 80, 40), (5, 5, 10))
+        ]
+
+    def test_repeated_check_runs_once_in_the_order_given(self, capsys):
+        code, out = run_cli(
+            capsys, "verify", "--check", "ruin", "--check", "urn", "--check", "ruin", "--runs", "1"
+        )
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["checks"]] == ["ruin", "urn"]
+
     @pytest.mark.parametrize("runs", ["0", "-2"])
     def test_non_positive_runs_rejected_before_any_check(self, capsys, monkeypatch, runs):
         ran = _spy_on_checks(monkeypatch)

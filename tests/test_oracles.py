@@ -19,7 +19,6 @@ from dynmatch.oracles import (
     ruin_hit_monte_carlo,
     ruin_hit_probability,
     urn_exceedance,
-    urn_half_exceedance_bound,
     urn_pmf,
     urn_sample_many,
 )
@@ -31,23 +30,30 @@ def rng(seed: int = 1) -> np.random.Generator:
 
 class TestRuin:
     def test_symmetric_walk_is_linear(self):
-        result = ruin_hit_probability(WalkSpec(p_up=0.5, M=1, N=3, start=1))
-        assert result.exact == pytest.approx(1.0 / 3.0, rel=1e-12)
+        exact = ruin_hit_probability(WalkSpec(p_up=0.5, M=1, N=3, start=1))
+        assert exact == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_downward_drift_closed_form(self):
-        result = ruin_hit_probability(WalkSpec(p_up=0.4, M=1, N=3, start=1))
+        exact = ruin_hit_probability(WalkSpec(p_up=0.4, M=1, N=3, start=1))
         # (r - 1) / (r^3 - 1) with r = 0.6 / 0.4
-        assert result.exact == pytest.approx(0.5 / 2.375, rel=1e-12)
-        assert result.drift_bound == pytest.approx(0.8**2, rel=1e-12)
-        assert result.exact <= result.drift_bound
+        assert exact == pytest.approx(0.5 / 2.375, rel=1e-12)
+        assert exact <= 0.8**2
 
-    def test_bound_only_reported_from_the_stop_level(self):
-        assert ruin_hit_probability(WalkSpec(p_up=0.4, M=1, N=3, start=2)).drift_bound is None
-        assert ruin_hit_probability(WalkSpec(p_up=0.6, M=1, N=3, start=1)).drift_bound is None
+    @given(
+        st.floats(min_value=0.01, max_value=0.5),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=2000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_drift_bound_from_the_stop_level(self, p_up, M, span):
+        # p_up = 1/2 - eps: hitting N from M has probability at most
+        # (1 - 2 eps)^(N - M), as proven in ruin_hit_probability's docstring
+        exact = ruin_hit_probability(WalkSpec(p_up, M, M + span, M))
+        assert exact <= (2 * p_up) ** span * (1 + 1e-12) + 1e-300
 
     def test_monte_carlo_agrees(self):
         spec = WalkSpec(p_up=0.45, M=2, N=7, start=3)
-        exact = ruin_hit_probability(spec).exact
+        exact = ruin_hit_probability(spec)
         trials = 200_000
         emp = ruin_hit_monte_carlo(spec, trials, rng(5))
         se = math.sqrt(exact * (1 - exact) / trials)
@@ -55,12 +61,12 @@ class TestRuin:
 
     def test_monte_carlo_counts_a_start_at_the_target_as_a_hit(self):
         spec = WalkSpec(p_up=0.4, M=1, N=3, start=3)
-        assert ruin_hit_probability(spec).exact == 1.0
+        assert ruin_hit_probability(spec) == 1.0
         assert ruin_hit_monte_carlo(spec, 1000, rng(5)) == 1.0
 
     def test_no_overflow_for_long_intervals(self):
-        result = ruin_hit_probability(WalkSpec(p_up=0.3, M=0, N=500, start=0))
-        assert 0.0 < result.exact < result.drift_bound < 1e-100
+        exact = ruin_hit_probability(WalkSpec(p_up=0.3, M=0, N=500, start=0))
+        assert 0.0 < exact < 0.6**500 < 1e-100
 
     @given(
         # keep r = p_down/p_up >= 1/3 so successive values differ by more
@@ -73,11 +79,11 @@ class TestRuin:
     def test_monotone_in_p_start_and_target(self, p_up, span, offset):
         M, N = 1, 1 + span
         start = min(M + offset, N - 1)
-        base = ruin_hit_probability(WalkSpec(p_up, M, N, start)).exact
-        assert ruin_hit_probability(WalkSpec(p_up + 0.02, M, N, start)).exact > base
+        base = ruin_hit_probability(WalkSpec(p_up, M, N, start))
+        assert ruin_hit_probability(WalkSpec(p_up + 0.02, M, N, start)) > base
         if start + 1 < N:
-            assert ruin_hit_probability(WalkSpec(p_up, M, N, start + 1)).exact > base
-        assert ruin_hit_probability(WalkSpec(p_up, M, N + 1, start)).exact < base
+            assert ruin_hit_probability(WalkSpec(p_up, M, N, start + 1)) > base
+        assert ruin_hit_probability(WalkSpec(p_up, M, N + 1, start)) < base
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(DomainError):
@@ -148,21 +154,15 @@ class TestUrnExceedance:
 
 
 class TestUrnBound:
-    def test_bound_holds_on_precondition_grid(self):
-        m = 280.0
-        for k1 in (20, 40, 80):
-            for blue_factor in (2, 3, 5):
-                for extra in (0, 5, 15):
-                    spec = UrnSpec(k1, blue_factor * k1, min(int(m / 8) + extra, k1 * (1 + blue_factor)))
-                    check = urn_half_exceedance_bound(spec, m)
-                    if check.preconditions_hold:
-                        assert check.exact <= check.sharp_bound * (1 + 1e-12)
-                        assert check.sharp_bound <= check.coarse_bound * (1 + 1e-12)
-
-    def test_reports_even_when_preconditions_fail(self):
-        check = urn_half_exceedance_bound(UrnSpec(50, 10, 30), m=280.0)
-        assert not check.preconditions_hold
-        assert 0.0 <= check.exact <= 1.0
+    @pytest.mark.parametrize("draws", [400, 600, 800, 1000])
+    def test_half_exceedance_within_its_cap_where_the_cap_binds(self, draws):
+        # red fraction 2/5: P(red count >= draws/2) <= (N+1)(2 sqrt(0.24))^draws,
+        # by Hoeffding's comparison of the urn with binomial draws and a
+        # Chernoff bound; these urns are large enough for the cap to be below 1
+        spec = UrnSpec(400, 600, draws)
+        cap = (spec.total + 1) * (2.0 * math.sqrt(0.24)) ** draws
+        assert cap < 1.0
+        assert urn_exceedance(spec, (draws + 1) // 2) <= cap
 
 
 class TestUrnSampling:
@@ -186,15 +186,13 @@ class TestUrnSampling:
 
 class TestDominance:
     def test_all_zero_records_pass(self):
-        report = dominance_check([(5, 5, 5, 0, 0)] * 10)
-        assert report.passed
-        assert report.violations == ()
+        assert dominance_check([(5, 5, 5, 0, 0)] * 10) == ([], None)
 
     def test_adversarial_records_flagged(self):
         # observed counts pinned at the maximum cannot be dominated
-        report = dominance_check([(60, 20, 20, 50, 50)] * 40)
-        assert not report.passed
-        assert report.violations
+        violations, max_z = dominance_check([(60, 20, 20, 50, 50)] * 40)
+        assert violations
+        assert max_z > 3
 
     def test_honest_hypergeometric_records_pass(self):
         g = rng(3)
@@ -203,9 +201,9 @@ class TestDominance:
             k1, k2, k3, l = 30, 35, 35, 40
             K1 = int(urn_sample_many(UrnSpec(k1, k2 + k3, l), 1, g)[0])
             records.append((k1, k2, k3, l, K1))
-        report = dominance_check(records)
-        assert report.passed
-        assert report.n_records == 300
+        violations, max_z = dominance_check(records)
+        assert violations == []
+        assert max_z <= 3
 
     def test_malformed_records_rejected(self):
         with pytest.raises(FormatError):
@@ -215,8 +213,20 @@ class TestDominance:
         with pytest.raises(FormatError):
             dominance_check([])
 
-    def test_per_record_exceedance_matches_direct_calls(self):
-        records = [(10, 12, 14, 9, 3), (8, 8, 8, 6, 2)]
-        report = dominance_check(records)
-        for row, (k1, k2, k3, l, K1) in zip(report.per_record_exceedance, records):
-            assert row == pytest.approx(urn_exceedance(UrnSpec(k1, k2 + k3, l), K1), rel=1e-12)
+    def test_verdict_matches_direct_urn_exceedances(self):
+        n = 50
+        k1, k2, k3, l, K1 = 10, 12, 14, 9, 3
+        z_scores, expected = [], []
+        for tau in range(1, l + 1):
+            p = urn_exceedance(UrnSpec(k1, k2 + k3, l), tau)
+            mean = (K1 >= tau) - p
+            se = math.sqrt(n * p * (1 - p)) / n
+            z_scores.append(mean / se)
+            if mean > 3 * se:
+                expected.append(tau)
+        violations, max_z = dominance_check([(k1, k2, k3, l, K1)] * n)
+        # 50 counts pinned at 3 reach tau = 2 and 3 every time, far more often
+        # than the urn's 0.80 and 0.49 allow
+        assert expected == [2, 3]
+        assert violations == expected
+        assert max_z == pytest.approx(max(z_scores), rel=1e-9)

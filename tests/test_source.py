@@ -152,6 +152,20 @@ def test_one_implementation_per_verification_check():
     assert not imported & work, f"the acceptance suite imports check work: {sorted(imported & work)}"
 
 
+def test_oracles_report_rather_than_raise():
+    # a check's verdict belongs in its JSON, where verify reports it, and a
+    # proven inequality belongs in a test: oracles neither imports nor
+    # raises NumericError
+    tree = ast.parse((SRC / "oracles.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.alias) and node.name == "NumericError"
+        or isinstance(node, ast.Name) and node.id == "NumericError"
+    ]
+    assert not found, f"NumericError at oracles.py lines {found}"
+
+
 def test_one_run_semantics_and_one_ledger_close_out():
     # run simulates [0, T] from an empty market, and one close-out builds
     # every RunStats: a warm-up knob or a second ledger would bring back a
