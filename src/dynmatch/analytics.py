@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, NumericError
+from .core import DomainError
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,15 @@ class StationaryDistribution:
 def stationary(params: ChainParams, tail_tol: float = 1e-12) -> StationaryDistribution:
     """Stationary distribution by detailed balance, in log space.
 
-    K is the first size, from the first one with p_up < 1/3, whose certified
-    geometric tail is below ``tail_tol`` relative to the total mass.  Past
-    p_up < 1/3 every balance ratio is below 1/2, so K is at most
-    ceil(-log2(tail_tol)) + 1 sizes past that start.
+    K is the first size from k0 (the first with p_up = q^k < 1/3 in floats) whose
+    geometric tail pi(K) r/(1 - r), r = r(K), is at most ``tail_tol`` of the mass to K.
+    Past k0 every r is below (1/3)/(2/3) = 1/2, so that relative tail is below 2^-j at
+    k0 + j and below tail_tol/2 at ``stop``.  Rounding eats little of that ln 2: past
+    k0 the float log ratios are below -ln 2 + 1e-15, and each of the <= 1076 cumsum
+    steps from k0 errs by at most u|logs| < 2.2e-8 (u = 2^-53; 1e-7 < -log q <= 53 ln 2
+    as d/m <= 1 - u, so |log r| < 18 below k0 <= 5e6 + 1 and < 2 + 37(j + 1) at k0 + j).
+    ``log_Z`` is finite: so are all log ratios and ``peak``, and log_tail < logs[K] +
+    1e-14 as r < 1/2, so the argument of its log lies in [1, K + 3].
     """
     if not 0 < tail_tol < 1:
         raise DomainError(f"tail_tol must be in (0, 1), got {tail_tol}")
@@ -127,31 +132,27 @@ def stationary(params: ChainParams, tail_tol: float = 1e-12) -> StationaryDistri
         log_tail = logs[k] + math.log(r) - math.log1p(-r) if r > 0.0 else -math.inf
         if log_tail - log_totals[k] <= math.log(tail_tol):
             break
-    else:
-        raise NumericError(f"stationary tail missed its bound at m={params.m}, d={params.d}")
-
     log_arr = logs[: k + 1]
     peak = float(log_arr.max())
     log_Z = peak + math.log(np.exp(log_arr - peak).sum() + math.exp(log_tail - peak))
-    if not math.isfinite(log_Z):
-        raise NumericError("stationary normalization is not finite")
     log_probs = log_arr - log_Z
     return StationaryDistribution(params, np.exp(log_probs), log_probs, k, math.exp(log_tail - log_Z))
 
 
 def stationary_mean(dist: StationaryDistribution) -> float:
-    """Mean pool size: sum of k * probs[k] plus the tail remainder bound."""
+    """Mean pool size: sum of k * probs[k] plus the tail remainder bound.
+
+    At most k0 + 4.5 <= ceil(ln 3 * m/d) + 5, k0 as in ``stationary`` (as -ln q > d/m):
+    from k0 on the probs p at least halve, so the sum is at most k0 (1 - tb) + 2 p(k0);
+    tb < p(K) <= 2^(k0 - K) puts tb K below tb k0 + 1/2; and p(K) r/(1 - r)^2 < 2.
+    """
     k = np.arange(dist.probs.size)
     mean = float((k * dist.probs).sum())
-    K = dist.truncation_K
-    tb = dist.tail_bound
-    m, d = dist.params.m, dist.params.d
+    K, tb = dist.truncation_K, dist.tail_bound
     if tb > 0:
         # tail mass is dominated by a geometric with the ratio at K
-        r = math.exp(log_balance_ratio(K, math.log1p(-d / m)))
+        r = math.exp(log_balance_ratio(K, math.log1p(-dist.params.d / dist.params.m)))
         mean += tb * K + math.exp(dist.log_probs[K]) * r / (1.0 - r) ** 2
-    if m >= 1e3 and mean > 1.01 * math.ceil(math.log(3) * m / d) + 11:
-        raise NumericError(f"stationary mean {mean} exceeds its cap at m={m}, d={d}")
     return mean
 
 

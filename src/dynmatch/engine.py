@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
@@ -191,8 +191,10 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
     the pool (``pos`` maps id to index) and in the criticality queue; an
     event whose id left ``pos`` is stale.  A leaving agent is swap-removed
     from the pool in O(1); pool order is irrelevant because every pair draw
-    is fresh (see ``PairCompatibilityOracle``).  ``Agent`` records are kept,
-    and checked against the counts, only for ``keep_agents``.
+    is fresh (see ``PairCompatibilityOracle``).  ``Agent`` records, kept only for
+    ``keep_agents``, count ``matched`` and ``perished`` by construction: each count's
+    update sits beside its outcome writes, a leaving agent leaves ``pos`` (its later
+    events are stale) and the horizon loop writes only still-pooled entries.
     """
     streams = RngStreams.from_seed(config.seed)
     arrivals = arrival_times(config.m, streams.interarrival).__next__
@@ -284,10 +286,6 @@ def run(config: MarketConfig, *, keep_agents: bool = False) -> RunStats:
         for entry in pool:
             agents[entry[1] - 1].outcome = AgentOutcome.IN_POOL_AT_HORIZON
             agents[entry[1] - 1].outcome_time = T
-        # each agent's final outcome must be the one the ledger counted
-        outcomes = Counter(agent.outcome for agent in agents)
-        if (outcomes[AgentOutcome.MATCHED], outcomes[AgentOutcome.PERISHED]) != (matched, perished):
-            raise NumericError("per-agent outcomes disagree with the pool's counts")
     return _close_out(config, departure.kind, n, matched, perished, [e[2] for e in pool],
                       t_last, wait, wait_c, agent_wait, agent_c, traj, agents)
 

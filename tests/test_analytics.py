@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -14,8 +15,6 @@ from conftest import dense_stationary_solve, stationary_by_steps
 from dynmatch.analytics import (
     ChainParams,
     DomainError,
-    NumericError,
-    StationaryDistribution,
     bound_constants,
     gdy_loss_lower,
     gdy_loss_upper,
@@ -131,15 +130,26 @@ class TestStationary:
         # mean sits near the equilibrium heuristic log(2) m / d
         assert mean == pytest.approx(math.log(2) * 1e4 / 5.0, rel=0.05)
 
-    def test_mean_above_cap_raises(self):
-        K = 10_000
-        probs = np.zeros(K + 1)
-        probs[K] = 1.0
-        with np.errstate(divide="ignore"):
-            log_probs = np.log(probs)
-        dist = StationaryDistribution(ChainParams(1e4, 5.0), probs, log_probs, K, 0.0)
-        with pytest.raises(NumericError, match="exceeds its cap"):
-            stationary_mean(dist)
+    @given(
+        st.floats(min_value=1e3, max_value=1e12),
+        st.one_of(st.just(1.0), st.just(None), st.floats(min_value=1e-4, max_value=1.0)),
+        st.sampled_from([1e-300, 1e-12, 1e-3, 0.5, 0.999]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_proven_bounds_over_the_analyze_domain(self, m, fraction, tail_tol):
+        # stationary and stationary_mean raise nothing: their docstrings prove
+        # these bounds, which fail under an early stop, a wrong peak or a wrong
+        # tail term; fraction None is the float just below d = m
+        d = math.nextafter(m, 0.0) if fraction is None else fraction * m
+        dist = stationary(ChainParams(m, d), tail_tol=tail_tol)
+        log_q = math.log1p(-d / m) if d < m else -math.inf
+        start = max(int(math.log(3.0) / -log_q) - 1, 1)  # below the first size with q^k < 1/3
+        k0 = next(k for k in itertools.count(start) if math.exp(k * log_q) < 1 / 3)
+        assert dist.truncation_K <= k0 + math.ceil(-math.log2(tail_tol)) + 1
+        assert dist.tail_bound <= tail_tol
+        assert np.isfinite(dist.probs).all()
+        assert abs(dist.probs.sum() + dist.tail_bound - 1.0) <= 1e-9
+        assert stationary_mean(dist) <= 1.01 * math.ceil(math.log(3) * m / d) + 11
 
 
 def tail_threshold(m: float, d: float) -> tuple[float, float]:

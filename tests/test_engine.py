@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -244,6 +245,13 @@ class TestRunProperties:
         assert stats.arrivals == stats.matched + stats.perished + stats.pool_at_T
         assert stats.matched % 2 == 0
         assert run(cfg, keep_agents=True) == stats
+        # every final outcome is the one the ledger counted (Counter equality
+        # drops zero counts)
+        assert Counter(a.outcome for a in stats.agents) == Counter({
+            AgentOutcome.MATCHED: stats.matched,
+            AgentOutcome.PERISHED: stats.perished,
+            AgentOutcome.IN_POOL_AT_HORIZON: stats.pool_at_T,
+        })
         for agent in stats.agents:
             if agent.outcome == AgentOutcome.MATCHED:
                 other = stats.agents[agent.partner_id - 1]
@@ -254,6 +262,21 @@ class TestRunProperties:
                 assert agent.partner_id is None
         per_agent = math.fsum(min(a.outcome_time, cfg.T) - a.arrival_time for a in stats.agents)
         assert abs(pool_integral(stats.pool_trajectory, cfg.T) - per_agent) <= 1e-9
+
+
+class TestPrefixConsistency:
+    @given(small_markets(), st.floats(min_value=0.05, max_value=0.95))
+    @settings(max_examples=100, deadline=None)
+    def test_shorter_horizon_is_a_prefix(self, cfg, fraction):
+        # a run to T1 < T2 is the run to T2 cut at T1, so the counts of the
+        # longer run's records up to T1 are the shorter run's exact ledger
+        T1 = fraction * cfg.T
+        short = run(dataclasses.replace(cfg, T=T1))
+        full = run(cfg, keep_agents=True)
+        assert short.pool_trajectory == [p for p in full.pool_trajectory if p[0] <= T1]
+        assert short.arrivals == sum(a.arrival_time <= T1 for a in full.agents)
+        ended = Counter(a.outcome for a in full.agents if a.outcome_time <= T1)
+        assert (short.matched, short.perished) == (ended[AgentOutcome.MATCHED], ended[AgentOutcome.PERISHED])
 
 
 class TestEquivalenceToReference:

@@ -166,6 +166,26 @@ def test_oracles_report_rather_than_raise():
     assert not found, f"NumericError at oracles.py lines {found}"
 
 
+def test_only_the_close_out_ledger_raises_numeric_error():
+    # conservation and the waiting-time identity are checked at run time; an
+    # inequality the code can prove belongs in a docstring and a test, not a raise
+    close_out = next(
+        n for n in ast.parse((SRC / "engine.py").read_text()).body
+        if isinstance(n, ast.FunctionDef) and n.name == "_close_out"
+    )
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and node.exc is not None and "NumericError" in ast.unparse(node.exc)
+        and not (path.name == "engine.py" and close_out.lineno <= node.lineno <= close_out.end_lineno)
+    ]
+    analytics = ast.parse((SRC / "analytics.py").read_text())
+    imported = [a.name for n in ast.walk(analytics) if isinstance(n, ast.ImportFrom) for a in n.names]
+    assert not found, f"NumericError raised outside engine._close_out: {found}"
+    assert "NumericError" not in imported, "analytics imports NumericError"
+
+
 def test_one_run_semantics_and_one_ledger_close_out():
     # run simulates [0, T] from an empty market, and one close-out builds
     # every RunStats: a warm-up knob or a second ledger would bring back a
